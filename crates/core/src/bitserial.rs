@@ -6,7 +6,7 @@
 //! whichever bit value is *rarer*, bounding the number of selected lanes by
 //! 50 % of the vector width and with it the PE load imbalance.
 
-use pade_quant::{plane_weight, PlaneRow, TokenPlanes};
+use pade_quant::{and_popcount_words, plane_weight, PlaneRow, TokenPlanes};
 
 /// Which bit value was treated as "sparse" (selected for accumulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,8 +183,12 @@ impl QRowLut {
 /// scores with it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QRowPlanes {
-    planes: Vec<PlaneRow>,
+    /// Packed words of every query plane, plane-major: plane `r` is
+    /// `words[r·stride .. (r+1)·stride]`.
+    words: Vec<u64>,
     weights: Vec<i64>,
+    /// Words per plane, `⌈len / 64⌉`.
+    stride: usize,
     len: usize,
 }
 
@@ -201,9 +205,9 @@ impl QRowPlanes {
             width = width.max(w);
         }
         let token = TokenPlanes::from_values(q, width);
-        let planes: Vec<PlaneRow> = (0..width).map(|r| token.plane(r).clone()).collect();
+        let words = (0..width).flat_map(|r| token.plane(r).words().iter().copied()).collect();
         let weights = (0..width).map(|r| i64::from(plane_weight(r, width))).collect();
-        Self { planes, weights, len: q.len() }
+        Self { words, weights, stride: q.len().div_ceil(64), len: q.len() }
     }
 
     /// Query width the planes were built for.
@@ -221,10 +225,14 @@ impl QRowPlanes {
     /// Number of query bit planes (the trimmed decomposition width).
     #[must_use]
     pub fn planes(&self) -> usize {
-        self.planes.len()
+        self.weights.len()
     }
 
     /// `Σ_{bit_i=1} q_i` over a packed key plane, as weighted AND+popcounts.
+    ///
+    /// The width is checked once per call; the loop then runs over the
+    /// flat query-plane words (one word per plane for rows of ≤ 64
+    /// dimensions, the decode and head-dim-64 case).
     ///
     /// # Panics
     ///
@@ -232,11 +240,21 @@ impl QRowPlanes {
     #[must_use]
     pub fn masked_sum(&self, plane: &PlaneRow) -> i64 {
         assert_eq!(plane.len(), self.len, "query length must match plane length");
-        self.weights
-            .iter()
-            .zip(&self.planes)
-            .map(|(&w, qp)| w * i64::from(qp.and_popcount(plane)))
-            .sum()
+        match plane.words() {
+            [] => 0,
+            &[k] => self
+                .words
+                .iter()
+                .zip(&self.weights)
+                .map(|(&q, &w)| w * i64::from((q & k).count_ones()))
+                .sum(),
+            k => self
+                .words
+                .chunks_exact(self.stride)
+                .zip(&self.weights)
+                .map(|(q, &w)| w * i64::from(and_popcount_words(q, k)))
+                .sum(),
+        }
     }
 }
 

@@ -19,12 +19,13 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use pade_mem::{HbmModel, KeyLayout, SramBuffer};
-use pade_quant::{BitPlaneMatrix, KeyCacheSnapshot, PlaneSource};
+use pade_quant::{BitPlaneMatrix, KeyCacheSnapshot, PlaneSource, TokenPlanes};
 use pade_sim::{Cycle, EventQueue, OpCounts, TrafficCounts, UtilizationCounter};
 use pade_trace::{track as trace_track, Tracer};
 
 use crate::bitserial::{plane_contribution, plane_contribution_planes, q_sum, BsMode, QRowPlanes};
 use crate::bui::Bui;
+use crate::calendar::CalendarQueue;
 use crate::config::PadeConfig;
 use crate::filter::{Decision, GuardFilter};
 use crate::gsat::{Gsat, PlaneAbsorb};
@@ -75,6 +76,39 @@ struct Lane {
     done: bool,
 }
 
+/// One PE lane of the optimized loop. Keys are dealt round-robin within a
+/// row, so lane `l` of its row starts tokens `l, l + lanes_per_row, …`.
+#[derive(Debug)]
+struct LaneState<'k> {
+    row: usize,
+    /// Next token to start; at or past the key count once all started.
+    next_token: usize,
+    ready: VecDeque<PlaneJob<'k>>,
+    outstanding: usize,
+    inflight_keys: usize,
+    resolved_keys: usize,
+    util: UtilizationCounter,
+    /// Cycle since which the lane has had nothing ready and a plane in
+    /// flight; its memory stall is charged when a plane arrives.
+    waiting_since: Option<Cycle>,
+}
+
+/// One key plane for a lane to absorb, with the key's planes (looked up
+/// once, when the key starts) and its K-buffer slot.
+///
+/// It also carries the key's scoreboard entry (§V-C): `partial` is the
+/// score folded from planes `0..plane`. A lane keeps at most its OOE
+/// window of keys in flight, which never exceeds the scoreboard's
+/// capacity, so the entry needs no lookup by token.
+#[derive(Debug, Clone, Copy)]
+struct PlaneJob<'k> {
+    planes: &'k TokenPlanes,
+    token: usize,
+    plane: u32,
+    slot: usize,
+    partial: i64,
+}
+
 /// Shared K-buffer plane state: in flight from DRAM or already on chip.
 #[derive(Debug, Clone, Copy)]
 enum PlaneState {
@@ -113,8 +147,12 @@ pub fn run_qk_block(
 /// query row is decomposed once into [`QRowPlanes`] so every plane
 /// absorption is weighted `popcount(q_plane & k_plane)` borrowed read-only
 /// by all of the row's lanes, and per-plane GSAT bookkeeping runs through
-/// the single-sweep [`Gsat::absorb_stats`], memoized per `(token, plane)`
-/// across the block's query rows (the stats are query-independent).
+/// the word-level [`Gsat::absorb_stats`], memoized per `(token, plane)`
+/// across the block's query rows (the stats are query-independent). The
+/// loop is event-driven: arrivals and lane wake-ups sit in a calendar
+/// queue, only lanes that are due act in a step, and a waiting lane's
+/// memory stall is charged when its plane arrives.
+///
 /// Results are bit-identical to [`run_qk_block_reference`]
 /// (property-tested below): the restructuring only changes *how* the same
 /// integers are computed, and the storage behind `keys` never reaches the
@@ -124,7 +162,9 @@ pub fn run_qk_block(
 /// # Panics
 ///
 /// Panics if `queries` is empty, exceeds `config.pe_rows`, or any row's
-/// length differs from the key dimension.
+/// length differs from the key dimension, and if the block has not
+/// finished after 10⁸ cycles (a livelock guard) rather than return a
+/// truncated result.
 #[must_use]
 pub fn run_qk_block_on<K: PlaneSource + ?Sized>(
     config: &PadeConfig,
@@ -233,15 +273,14 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let mut hbm = HbmModel::new(config.hbm);
     let mut k_sram = SramBuffer::new("kv", config.kv_buffer_kb as u64 * 1024);
     let mut q_sram = SramBuffer::new("q", config.q_buffer_kb as u64 * 1024);
-    let mut events: EventQueue<(usize, Job)> = EventQueue::new();
+    let mut events: CalendarQueue<(usize, PlaneJob<'_>)> = CalendarQueue::new();
     let mut ops = OpCounts::default();
     // Flat shared K-buffer state: slot `token_key·bits + plane_key` (the
     // layout-dependent cache key always satisfies `token_key < n_keys`).
     let mut plane_cache: Vec<SlotState> = vec![SlotState::Unfetched; n_keys * bits as usize];
     let mut planes_fetched = 0u64;
 
-    // Per-row pruning state; the QRowLuts are the per-row read-only plane
-    // tables every lane of the row borrows.
+    // Per-row pruning state.
     let mut filters: Vec<GuardFilter> = queries
         .iter()
         .map(|_| {
@@ -253,32 +292,37 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let buis: Vec<Bui> = queries.iter().map(|q| Bui::new(q, bits)).collect();
     let mut retained: Vec<Vec<(usize, i64)>> = vec![Vec::new(); queries.len()];
     // GSAT absorption stats are query-independent, so each `(token, plane)`
-    // is swept once and reused by every other query row of the block.
-    let mut gsat_memo: Vec<Option<PlaneAbsorb>> = vec![None; n_keys * bits as usize];
+    // is swept once and reused by every other query row of the block. A
+    // single-row block absorbs each plane at most once and keeps no memo.
+    let memo_len = if queries.len() > 1 { n_keys * bits as usize } else { 0 };
+    let mut gsat_memo: Vec<Option<PlaneAbsorb>> = vec![None; memo_len];
 
     for q in queries {
         q_sram.write(q.len() as u64);
     }
 
-    // Lanes: row-major, keys distributed round-robin within each row.
-    let mut lanes: Vec<Lane> = Vec::new();
+    // Lanes: row-major, keys distributed round-robin within each row. A
+    // lane acts only when it is due — its GSAT pass ends (`wakes`) or a
+    // plane reaches it while it waits on DRAM — instead of on every step.
+    let mut wakes: CalendarQueue<usize> = CalendarQueue::new();
+    let mut lanes: Vec<LaneState> = Vec::with_capacity(queries.len() * config.lanes_per_row);
     for row in 0..queries.len() {
         for lane_idx in 0..config.lanes_per_row {
-            lanes.push(Lane {
+            wakes.schedule(Cycle::ZERO, lanes.len());
+            lanes.push(LaneState {
                 row,
-                keys: (lane_idx..n_keys).step_by(config.lanes_per_row).collect(),
-                next_key: 0,
+                next_token: lane_idx,
                 ready: VecDeque::new(),
                 outstanding: 0,
                 inflight_keys: 0,
                 resolved_keys: 0,
-                sb: Scoreboard::new(config.scoreboard_entries),
-                busy_until: Cycle::ZERO,
                 util: UtilizationCounter::new(),
-                done: false,
+                waiting_since: None,
             });
         }
     }
+    let mut live = lanes.len();
+    let mut due: Vec<usize> = Vec::with_capacity(lanes.len());
 
     let plane_sram_bytes = keys.plane_bytes() as u64;
     let mut now = Cycle::ZERO;
@@ -291,34 +335,37 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
         _ => 1,
     };
     let bits_us = bits as usize;
-    let cache_slot = |token: usize, plane: u32| -> usize {
+    // K-buffer slot of a key's first plane; its plane `r` sits `r` slots
+    // further on, except under the value-major layout, where one fetch
+    // carries every plane of the token.
+    let first_slot = |token: usize| -> usize {
         match config.layout {
-            KeyLayout::ValueRowMajor => token * bits_us,
-            KeyLayout::BitPlaneLinear => token * bits_us + plane as usize,
+            KeyLayout::ValueRowMajor | KeyLayout::BitPlaneLinear => token * bits_us,
             KeyLayout::BitPlaneInterleaved => {
                 let c = config.hbm.channels;
                 let channel = token % c;
                 let idx = token / c;
-                ((idx / coalesce) * coalesce * c + channel) * bits_us + plane as usize
+                ((idx / coalesce) * coalesce * c + channel) * bits_us
             }
         }
     };
+    let slot_step = usize::from(config.layout != KeyLayout::ValueRowMajor);
 
-    let request_plane = |token: usize,
-                         plane: u32,
+    // Returns the plane's arrival cycle at the K buffer.
+    let request_plane = |job: PlaneJob,
                          now: Cycle,
                          hbm: &mut HbmModel,
                          cache: &mut [SlotState],
                          fetched: &mut u64|
      -> Cycle {
-        let slot = cache_slot(token, plane);
-        match cache[slot] {
+        match cache[job.slot] {
             SlotState::Present => now + Cycle(1),
             SlotState::InFlight(t) => t.max(now + Cycle(1)),
             SlotState::Unfetched => {
-                let fetch = config.layout.plane_fetch(token, plane, dims, bits, &config.hbm);
+                let fetch =
+                    config.layout.plane_fetch(job.token, job.plane, dims, bits, &config.hbm);
                 let arrival = hbm.access(fetch.loc, fetch.bytes, now).complete;
-                cache[slot] = SlotState::InFlight(arrival);
+                cache[job.slot] = SlotState::InFlight(arrival);
                 *fetched += 1;
                 arrival
             }
@@ -330,154 +377,149 @@ fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     let extra_subs =
         if config.enable_bs { (config.gsat_width / config.subgroup) as u64 / 2 } else { 0 };
 
-    while lanes.iter().any(|l| !l.done) && now < hard_stop {
-        // Deliver arrivals due this cycle.
+    while live > 0 {
+        assert!(
+            now < hard_stop,
+            "QK engine livelock: {live} of {} lanes unfinished at the {}-cycle hard stop",
+            lanes.len(),
+            hard_stop.0
+        );
+        // Deliver arrivals due this cycle. A lane waiting on DRAM wakes up
+        // and is charged the memory stall it sat out: every cycle from the
+        // step it found nothing ready up to this one.
         while let Some((lane_id, job)) = events.pop_ready(now) {
             let lane = &mut lanes[lane_id];
             lane.outstanding -= 1;
             lane.ready.push_back(job);
-            let slot = cache_slot(job.token, job.plane);
-            if let SlotState::InFlight(_) = plane_cache[slot] {
-                plane_cache[slot] = SlotState::Present;
+            if let SlotState::InFlight(_) = plane_cache[job.slot] {
+                plane_cache[job.slot] = SlotState::Present;
                 k_sram.write(config.hbm.burst_bytes);
             }
+            if let Some(since) = lane.waiting_since.take() {
+                lane.util.stall_mem((now - since).0);
+                due.push(lane_id);
+            }
+        }
+        while let Some(lane_id) = wakes.pop_ready(now) {
+            due.push(lane_id);
         }
 
-        // `lane_id` travels into the event queue alongside the borrow, so
-        // the indexed form is clearer than enumerate-with-reborrow here.
-        #[allow(clippy::needless_range_loop)]
-        for lane_id in 0..lanes.len() {
+        // Due lanes act in lane order: their DRAM requests and event
+        // insertions happen in the same order as a scan over every lane.
+        due.sort_unstable();
+        for &lane_id in &due {
             let lane = &mut lanes[lane_id];
-            if lane.done || now < lane.busy_until {
-                continue;
-            }
-
             let dynamic_window =
                 if config.enable_ooe { window.min(2 + 2 * lane.resolved_keys) } else { 1 };
-            while lane.inflight_keys < dynamic_window && lane.next_key < lane.keys.len() {
-                let token = lane.keys[lane.next_key];
-                lane.next_key += 1;
+            while lane.inflight_keys < dynamic_window && lane.next_token < n_keys {
+                let token = lane.next_token;
+                lane.next_token += config.lanes_per_row;
                 lane.inflight_keys += 1;
                 lane.outstanding += 1;
+                let job = PlaneJob {
+                    planes: keys.token(token),
+                    token,
+                    plane: 0,
+                    slot: first_slot(token),
+                    partial: 0,
+                };
                 let arrival =
-                    request_plane(token, 0, now, &mut hbm, &mut plane_cache, &mut planes_fetched);
-                events.schedule(arrival, (lane_id, Job { token, plane: 0 }));
+                    request_plane(job, now, &mut hbm, &mut plane_cache, &mut planes_fetched);
+                events.schedule(arrival, (lane_id, job));
                 if !config.enable_ooe {
                     break;
                 }
             }
 
-            if let Some(job) = lane.ready.pop_front() {
-                let plane = keys.token(job.token).plane(job.plane);
-                k_sram.read(plane_sram_bytes);
-                let contrib =
-                    plane_contribution_planes(qplanes[lane.row], plane, job.plane, bits, false);
-                let memo_slot = job.token * bits_us + job.plane as usize;
-                let stats = match gsat_memo[memo_slot] {
-                    Some(s) => {
-                        if tr_active {
-                            tr_memo_hits += 1;
-                        }
-                        s
-                    }
-                    None => {
-                        let s = gsat.absorb_stats(plane, config.enable_bs);
-                        gsat_memo[memo_slot] = Some(s);
-                        if tr_active {
-                            tr_gsat_sweeps += 1;
-                            tr_gsat_cycles += s.cycles;
-                        }
-                        s
-                    }
-                };
-                let (cycles, selected) = (stats.cycles, stats.selected);
-                let balanced = stats.balanced;
-                if tr_active {
-                    tr_popcounts += 1;
-                    tr_and_words += plane.words().len() as u64;
-                    tr_absorb_cycles += balanced;
+            let Some(job) = lane.ready.pop_front() else {
+                if lane.inflight_keys == 0 && lane.next_token >= n_keys {
+                    live -= 1;
+                } else {
+                    // Every in-flight key is either ready or outstanding.
+                    debug_assert!(lane.outstanding > 0, "a waiting lane has a plane in flight");
+                    lane.waiting_since = Some(now);
                 }
-                lane.util.busy(balanced);
-                lane.util.stall_intra(cycles - balanced);
-                lane.busy_until = now + Cycle(cycles);
-                ops.bit_serial_acc += u64::from(selected) + extra_subs;
-                ops.shift_add += 1; // plane-weight application
+                continue;
+            };
+            let plane = job.planes.plane(job.plane);
+            k_sram.read(plane_sram_bytes);
+            let contrib =
+                plane_contribution_planes(qplanes[lane.row], plane, job.plane, bits, false);
+            let memo_slot = job.token * bits_us + job.plane as usize;
+            let stats = match gsat_memo.get(memo_slot).copied().flatten() {
+                Some(s) => {
+                    if tr_active {
+                        tr_memo_hits += 1;
+                    }
+                    s
+                }
+                None => {
+                    let s = gsat.absorb_stats(plane, config.enable_bs);
+                    if let Some(m) = gsat_memo.get_mut(memo_slot) {
+                        *m = Some(s);
+                    }
+                    if tr_active {
+                        tr_gsat_sweeps += 1;
+                        tr_gsat_cycles += s.cycles;
+                    }
+                    s
+                }
+            };
+            let (cycles, selected) = (stats.cycles, stats.selected);
+            let balanced = stats.balanced;
+            if tr_active {
+                tr_popcounts += 1;
+                tr_and_words += plane.words().len() as u64;
+                tr_absorb_cycles += balanced;
+            }
+            lane.util.busy(balanced);
+            lane.util.stall_intra(cycles - balanced);
+            wakes.schedule(now + Cycle(cycles), lane_id);
+            ops.bit_serial_acc += u64::from(selected) + extra_subs;
+            ops.shift_add += 1; // plane-weight application
 
-                // Fold into the scoreboard and decide.
-                let partial = match lane.sb.lookup(job.token) {
-                    Some(e) => {
-                        let p = e.partial + contrib.value;
-                        lane.sb.update(job.token, job.plane + 1, p);
-                        p
-                    }
-                    None => {
-                        lane.sb
-                            .insert(job.token, job.plane + 1, contrib.value)
-                            .expect("window bounds in-flight keys to scoreboard capacity");
-                        contrib.value
-                    }
-                };
-                let f = &mut filters[lane.row];
-                let bui = &buis[lane.row];
-                f.observe_lower_bound(bui.lower_bound(partial, job.plane));
-                ops.lut_lookup += 1; // BUI LUT read
-                match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
-                    Decision::Prune => {
-                        lane.sb.evict(job.token);
-                        lane.inflight_keys -= 1;
-                        lane.resolved_keys += 1;
-                    }
-                    Decision::Retain => {
-                        lane.sb.evict(job.token);
-                        lane.inflight_keys -= 1;
-                        lane.resolved_keys += 1;
-                        retained[lane.row].push((job.token, partial));
-                    }
-                    Decision::NeedMore => {
-                        lane.outstanding += 1;
-                        let arrival = request_plane(
-                            job.token,
-                            job.plane + 1,
-                            now,
-                            &mut hbm,
-                            &mut plane_cache,
-                            &mut planes_fetched,
-                        );
-                        events.schedule(
-                            arrival,
-                            (lane_id, Job { token: job.token, plane: job.plane + 1 }),
-                        );
-                    }
+            // Fold into the key's scoreboard entry and decide.
+            let partial = job.partial + contrib.value;
+            let f = &mut filters[lane.row];
+            let bui = &buis[lane.row];
+            f.observe_lower_bound(bui.lower_bound(partial, job.plane));
+            ops.lut_lookup += 1; // BUI LUT read
+            match f.decide(bui.upper_bound(partial, job.plane), job.plane) {
+                Decision::Prune => {
+                    lane.inflight_keys -= 1;
+                    lane.resolved_keys += 1;
                 }
-            } else if lane.outstanding > 0 {
-                lane.util.stall_mem(1);
-            } else if lane.inflight_keys == 0 && lane.next_key >= lane.keys.len() {
-                lane.done = true;
-            } else {
-                lane.util.stall_mem(1);
+                Decision::Retain => {
+                    lane.inflight_keys -= 1;
+                    lane.resolved_keys += 1;
+                    retained[lane.row].push((job.token, partial));
+                }
+                Decision::NeedMore => {
+                    lane.outstanding += 1;
+                    let next = PlaneJob {
+                        plane: job.plane + 1,
+                        slot: job.slot + slot_step,
+                        partial,
+                        ..job
+                    };
+                    let arrival =
+                        request_plane(next, now, &mut hbm, &mut plane_cache, &mut planes_fetched);
+                    events.schedule(arrival, (lane_id, next));
+                }
             }
         }
+        due.clear();
 
         // Advance to the next interesting time (skip long memory waits).
-        let next_busy =
-            lanes.iter().filter(|l| !l.done && l.busy_until > now).map(|l| l.busy_until).min();
+        let next_busy = wakes.next_time();
         let next_event = events.next_time().filter(|&t| t > now);
-        let target = match (next_busy, next_event) {
+        now = match (next_busy, next_event) {
             (Some(b), Some(e)) => b.min(e),
             (Some(b), None) => b,
             (None, Some(e)) => e,
             (None, None) => now + Cycle(1),
         }
         .max(now + Cycle(1));
-        let skipped = (target - now).0;
-        if skipped > 1 {
-            for lane in lanes.iter_mut().filter(|l| !l.done) {
-                if lane.busy_until <= now && lane.ready.is_empty() && lane.outstanding > 0 {
-                    lane.util.stall_mem(skipped - 1);
-                }
-            }
-        }
-        now = target;
     }
 
     for r in &mut retained {
@@ -1915,6 +1957,17 @@ mod tests {
             run_qk_blocks_cached_par(&config, &queries, &snap, scale),
             run_qk_blocks(&config, &queries, &scratch, scale)
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "livelock")]
+    fn hitting_the_hard_stop_panics_instead_of_truncating() {
+        // A 0.2 s DRAM row cycle (1.6·10⁸ cycles at 800 MHz) lands the
+        // first plane past the 10⁸-cycle livelock bound. The seed oracle
+        // returns whatever resolved by then; the optimized loop refuses.
+        let standard = PadeConfig::standard();
+        let hbm = pade_mem::HbmConfig { t_rc_ns: 2e8, ..standard.hbm };
+        let _ = run(&PadeConfig { hbm, ..standard }, &small_trace());
     }
 
     #[test]

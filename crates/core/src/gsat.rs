@@ -16,6 +16,8 @@ use crate::bitserial::BsMode;
 pub struct Gsat {
     width: usize,
     subgroup: usize,
+    /// `width / subgroup`, divided once here rather than per plane.
+    groups: usize,
 }
 
 impl Gsat {
@@ -29,7 +31,7 @@ impl Gsat {
     pub fn new(width: usize, subgroup: usize) -> Self {
         assert!(width > 0 && subgroup > 0, "GSAT dimensions must be positive");
         assert_eq!(width % subgroup, 0, "width must be divisible by sub-group size");
-        Self { width, subgroup }
+        Self { width, subgroup, groups: width / subgroup }
     }
 
     /// Dot-product width.
@@ -185,36 +187,77 @@ impl Gsat {
     /// sweep over sub-groups replaces the separate
     /// [`Gsat::bs_plane_cycles`] / [`Gsat::bs_selected_total`] /
     /// [`Gsat::plane_cycles`] / [`Gsat::balanced_cycles`] calls (each of
-    /// which re-scans the plane bit by bit and allocates). Values are
-    /// identical to the naive methods — property-tested in this module.
+    /// which re-scans the plane bit by bit and allocates). Each sub-group's
+    /// ones are one shift, mask and popcount of the packed words (two
+    /// words when it straddles a word boundary), the same code for every
+    /// geometry. `⌈sel / muxes⌉` is monotonic in `sel`, so the slowest
+    /// sub-group of a pass is found on the raw counts, and a division runs
+    /// only when it holds more selections than muxes. Values are identical
+    /// to the naive methods — property-tested in this module.
     #[must_use]
     pub fn absorb_stats(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
+        let len = plane.len();
+        // Most planes fit one pass; the divisions below are skipped on
+        // their common outcomes.
+        let passes = if len <= self.width { 1 } else { len.div_ceil(self.width) };
         let muxes = self.muxes_per_subgroup() as u32;
-        let groups = self.width / self.subgroup;
-        let passes = self.passes(plane.len());
-        let total_muxes = (self.muxes_per_subgroup() * groups) as u64;
         let mut cycles = 0u64;
         let mut selected = 0u32;
-        let mut ones_total = 0u32;
         for pass in 0..passes {
-            let base = pass * self.width;
-            let mut worst = 0u64;
-            for g in 0..groups {
-                let lo = base + g * self.subgroup;
-                let hi = (lo + self.subgroup).min(plane.len());
-                let present = hi.saturating_sub(lo) as u32;
-                let ones = plane.count_ones_in_range(lo, lo + self.subgroup);
-                ones_total += ones;
+            let mut worst = 0u32;
+            let mut lo = pass * self.width;
+            // Sub-groups past the plane's end select nothing.
+            for _ in 0..self.groups {
+                if lo >= len {
+                    break;
+                }
+                let present = (len - lo).min(self.subgroup) as u32;
+                let ones = self.subgroup_ones(plane, lo);
                 let sel = if enable_bs { ones.min(present - ones) } else { ones };
                 selected += sel;
-                worst = worst.max(u64::from(sel.div_ceil(muxes)));
+                worst = worst.max(sel);
+                lo += self.subgroup;
             }
-            cycles += worst.max(1);
+            // `max(⌈worst / muxes⌉, 1)`: one beat unless a sub-group holds
+            // more selections than muxes (never under per-sub-group BS).
+            cycles += if worst <= muxes { 1 } else { u64::from(worst.div_ceil(muxes)) };
         }
         // `balanced_cycles(plane, BsMode::Ones)` — always the one-sided
-        // count, matching the engine's imbalance accounting.
-        let balanced = u64::from(ones_total).div_ceil(total_muxes).max(passes as u64);
+        // count, matching the engine's imbalance accounting:
+        // `max(⌈ones / total_muxes⌉, passes)`, where the sub-groups of all
+        // passes tile the plane, so their ones are the plane's.
+        let ones_total = plane.count_ones();
+        let total_muxes = (self.muxes_per_subgroup() * self.groups) as u64;
+        let balanced = if u64::from(ones_total) <= total_muxes * passes as u64 {
+            passes as u64
+        } else {
+            u64::from(ones_total).div_ceil(total_muxes)
+        };
         PlaneAbsorb { cycles, selected, balanced: balanced.min(cycles) }
+    }
+
+    /// Set bits of the sub-group starting at bit `lo < plane.len()`: one
+    /// shift (two across a word boundary), a mask and a popcount. Padding
+    /// bits past the plane's length are clear, so they count nothing.
+    /// Sub-groups wider than a word take the range count.
+    #[inline]
+    fn subgroup_ones(&self, plane: &PlaneRow, lo: usize) -> u32 {
+        let s = self.subgroup;
+        if s > 64 {
+            return plane.count_ones_in_range(lo, lo + s);
+        }
+        let words = plane.words();
+        let (w, off) = (lo / 64, lo % 64);
+        let mut x = words[w] >> off;
+        if off + s > 64 {
+            if let Some(next) = words.get(w + 1) {
+                x |= next << (64 - off);
+            }
+        }
+        if s < 64 {
+            x &= (1u64 << s) - 1;
+        }
+        x.count_ones()
     }
 }
 
@@ -326,33 +369,35 @@ mod tests {
     #[test]
     fn absorb_stats_matches_naive_methods() {
         use proptest::prelude::*;
-        // Deterministic sweep over widths, fills and BS modes rather than a
-        // hand-picked case: absorb_stats is the engine's hot path and must
-        // agree with the per-bit oracles everywhere.
-        let g = Gsat::default();
+        // Deterministic sweep over geometries, widths, fills and BS modes
+        // rather than a hand-picked case: absorb_stats is the engine's hot
+        // path and must agree with the per-bit oracles everywhere. Beside
+        // the power-of-two geometries, 48/6 puts sub-groups across word
+        // boundaries and 256/128 takes sub-groups wider than a word.
+        let geometries = [(16, 2), (32, 4), (64, 8), (128, 16), (48, 6), (256, 128)];
         let mut rng = TestRng::for_case("gsat::absorb", 0);
-        for len in [1usize, 3, 8, 16, 63, 64, 65, 127, 128, 200] {
-            for _ in 0..20 {
-                let bits: Vec<bool> = (0..len).map(|_| (0u32..2).sample(&mut rng) == 1).collect();
-                let p = plane(&bits);
-                let bs = g.absorb_stats(&p, true);
-                assert_eq!(bs.cycles, g.bs_plane_cycles(&p), "len {len}");
-                assert_eq!(bs.selected, g.bs_selected_total(&p), "len {len}");
-                assert_eq!(
-                    bs.balanced,
-                    g.balanced_cycles(&p, BsMode::Ones).min(bs.cycles),
-                    "len {len}"
-                );
-                let ones = g.absorb_stats(&p, false);
-                assert_eq!(ones.cycles, g.plane_cycles(&p, BsMode::Ones), "len {len}");
-                assert_eq!(ones.selected, p.count_ones(), "len {len}");
-                assert_eq!(
-                    ones.balanced,
-                    g.balanced_cycles(&p, BsMode::Ones).min(ones.cycles),
-                    "len {len}"
-                );
+        for (width, subgroup) in geometries {
+            let g = Gsat::new(width, subgroup);
+            for len in [1usize, 3, 8, 16, 63, 64, 65, 127, 128, 200, 300] {
+                for density in [1u32, 2, 8] {
+                    // density 1: all ones; 2: coin flips; 8: sparse ones.
+                    let bits: Vec<bool> =
+                        (0..len).map(|_| (0u32..density).sample(&mut rng) == 0).collect();
+                    check_absorb_stats(&g, &plane(&bits), &format!("{width}/{subgroup} len {len}"));
+                }
             }
         }
+    }
+
+    fn check_absorb_stats(g: &Gsat, p: &PlaneRow, case: &str) {
+        let bs = g.absorb_stats(p, true);
+        assert_eq!(bs.cycles, g.bs_plane_cycles(p), "{case}");
+        assert_eq!(bs.selected, g.bs_selected_total(p), "{case}");
+        assert_eq!(bs.balanced, g.balanced_cycles(p, BsMode::Ones).min(bs.cycles), "{case}");
+        let ones = g.absorb_stats(p, false);
+        assert_eq!(ones.cycles, g.plane_cycles(p, BsMode::Ones), "{case}");
+        assert_eq!(ones.selected, p.count_ones(), "{case}");
+        assert_eq!(ones.balanced, g.balanced_cycles(p, BsMode::Ones).min(ones.cycles), "{case}");
     }
 
     #[test]

@@ -45,6 +45,7 @@
 pub mod accelerator;
 pub mod bitserial;
 pub mod bui;
+mod calendar;
 pub mod config;
 pub mod decode;
 pub mod engine;

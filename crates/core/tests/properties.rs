@@ -24,13 +24,20 @@ use proptest::prelude::*;
 
 /// A config whose width/pruning knobs are driven from hash bits so the
 /// differential sweep touches the restructured code paths (BS, OOE,
-/// layouts, narrow scoreboards) without enumerating them by hand.
+/// layouts, narrow scoreboards, GSAT geometries, lane counts, DRAM
+/// channel counts) without enumerating them by hand. One HBM channel
+/// builds deep DRAM queues: arrivals far beyond the engine's event
+/// calendar and long lazily-charged memory stalls.
 fn config_for(bits: u32, knobs: u64) -> PadeConfig {
     let layout = match knobs % 3 {
         0 => KeyLayout::BitPlaneInterleaved,
         1 => KeyLayout::BitPlaneLinear,
         _ => KeyLayout::ValueRowMajor,
     };
+    let (gsat_width, subgroup) = [(16, 2), (32, 4), (64, 8), (128, 16)][(knobs >> 6) as usize % 4];
+    let lanes_per_row = [1, 3, 16][(knobs >> 8) as usize % 3];
+    let standard = PadeConfig::standard();
+    let channels = if knobs & (1 << 12) != 0 { 1 } else { standard.hbm.channels };
     PadeConfig {
         bits,
         layout,
@@ -38,7 +45,11 @@ fn config_for(bits: u32, knobs: u64) -> PadeConfig {
         enable_ooe: knobs & 8 != 0,
         enable_bui_gf: knobs & 16 != 0,
         scoreboard_entries: if knobs & 32 != 0 { 4 } else { 16 },
-        ..PadeConfig::standard()
+        gsat_width,
+        subgroup,
+        lanes_per_row,
+        hbm: pade_mem::HbmConfig { channels, ..standard.hbm },
+        ..standard
     }
 }
 
@@ -56,6 +67,38 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let config = config_for(bits, knobs);
+        let keys_data = vec_i8_bits(s * dims, seed, bits);
+        let keys = BitPlaneMatrix::from_rows(&keys_data, dims, bits).unwrap();
+        let query_data: Vec<Vec<i8>> =
+            (0..rows).map(|r| vec_i8_bits(dims, seed ^ mix(seed, r), bits)).collect();
+        let queries: Vec<&[i8]> = query_data.iter().map(Vec::as_slice).collect();
+        let scale = 1.0 / 64.0;
+        let fast = run_qk_block(&config, &queries, &keys, scale);
+        let oracle = run_qk_block_reference(&config, &queries, &keys, scale);
+        prop_assert_eq!(fast, oracle);
+    }
+
+    /// Long blocks on a single HBM channel: hundreds of keys in flight
+    /// queue behind one bus and one bank per plane, so arrivals land
+    /// beyond the optimized loop's event calendar window and lanes wait on
+    /// DRAM for long stretches before their stall is charged. The shapes
+    /// of the sweep above are too small to get there.
+    #[test]
+    fn deep_dram_queues_match_oracle(
+        s in 256usize..640,
+        rows in 1usize..3,
+        knobs in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let bits = 8;
+        let dims = 64;
+        let base = config_for(bits, knobs);
+        let config = PadeConfig {
+            scoreboard_entries: 32,
+            enable_ooe: true,
+            hbm: pade_mem::HbmConfig { channels: 1, ..base.hbm },
+            ..base
+        };
         let keys_data = vec_i8_bits(s * dims, seed, bits);
         let keys = BitPlaneMatrix::from_rows(&keys_data, dims, bits).unwrap();
         let query_data: Vec<Vec<i8>> =

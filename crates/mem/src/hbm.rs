@@ -113,6 +113,12 @@ struct Channel {
 #[derive(Debug, Clone)]
 pub struct HbmModel {
     config: HbmConfig,
+    /// `config.t_rc()`, `config.t_cl()` and the one-burst
+    /// `config.transfer_cycles`, converted from nanoseconds and GB/s once
+    /// here instead of on every access.
+    t_rc: Cycle,
+    t_cl: Cycle,
+    burst_transfer: Cycle,
     channels: Vec<Channel>,
     traffic: TrafficCounts,
     row_hits: u64,
@@ -132,6 +138,9 @@ impl HbmModel {
             .collect();
         Self {
             config,
+            t_rc: config.t_rc(),
+            t_cl: config.t_cl(),
+            burst_transfer: config.transfer_cycles(config.burst_bytes),
             channels,
             traffic: TrafficCounts::default(),
             row_hits: 0,
@@ -154,9 +163,10 @@ impl HbmModel {
     /// Panics if `loc` is outside the configured geometry.
     pub fn access(&mut self, loc: PhysLoc, bytes: u64, now: Cycle) -> AccessResult {
         assert!(loc.channel < self.config.channels, "channel {} out of range", loc.channel);
-        let t_rc = self.config.t_rc();
-        let t_cl = self.config.t_cl();
-        let transfer = self.config.transfer_cycles(bytes);
+        let (t_rc, t_cl) = (self.t_rc, self.t_cl);
+        let bursts = bytes.div_ceil(self.config.burst_bytes).max(1);
+        let transfer =
+            if bursts == 1 { self.burst_transfer } else { self.config.transfer_cycles(bytes) };
         let ch = &mut self.channels[loc.channel];
         assert!(loc.bank < ch.banks.len(), "bank {} out of range", loc.bank);
         let bank = &mut ch.banks[loc.bank];
@@ -183,7 +193,6 @@ impl HbmModel {
         ch.bus_free_at = complete;
         self.busy_cycles += transfer.0;
 
-        let bursts = bytes.div_ceil(self.config.burst_bytes).max(1);
         self.traffic.dram_bursts += bursts;
         self.traffic.dram_read_bytes += bursts * self.config.burst_bytes;
         AccessResult { complete, row_hit }

@@ -4,7 +4,8 @@
 //! with the two primitives the workspace's `parallel` features need:
 //! ordered parallel map over an index range / slice, and disjoint-chunk
 //! parallel mutation. Work is split into one contiguous range per worker
-//! on `std::thread::scope`; results are concatenated in range order, so
+//! on `std::thread::scope`, the calling thread working the first range
+//! itself; results are concatenated in range order, so
 //! output ordering (and therefore every downstream reduction) is
 //! identical to the sequential loop regardless of thread count or
 //! scheduling. Swap for `rayon` when a registry is reachable.
@@ -58,25 +59,25 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
+    // The calling thread takes the first range itself: one spawn fewer
+    // per dispatch, and the output order is unchanged.
     let ranges = split_ranges(n, workers);
-    let mut parts: Vec<Vec<R>> = Vec::with_capacity(ranges.len());
+    let (&(lo, hi), rest) = ranges.split_first().expect("n > 1 yields a range");
     thread::scope(|scope| {
-        let handles: Vec<_> = ranges
+        let handles: Vec<_> = rest
             .iter()
             .map(|&(lo, hi)| {
                 let f = &f;
                 scope.spawn(move || (lo..hi).map(f).collect::<Vec<R>>())
             })
             .collect();
+        let mut out = Vec::with_capacity(n);
+        out.extend((lo..hi).map(&f));
         for h in handles {
-            parts.push(h.join().expect("pade-par worker panicked"));
+            out.extend(h.join().expect("pade-par worker panicked"));
         }
-    });
-    let mut out = Vec::with_capacity(n);
-    for p in parts {
-        out.extend(p);
-    }
-    out
+        out
+    })
 }
 
 /// Ordered parallel map over a slice.
@@ -109,12 +110,12 @@ where
         }
         return;
     }
+    let per_worker = data.len().div_ceil(chunk_len).div_ceil(workers);
+    // As in `par_map_indexed`, the calling thread works the first piece.
+    let (first, mut rest) = data.split_at_mut((per_worker * chunk_len).min(data.len()));
     thread::scope(|scope| {
         let mut handles = Vec::new();
-        let n_chunks = data.len().div_ceil(chunk_len);
-        let per_worker = n_chunks.div_ceil(workers);
-        let mut rest = data;
-        let mut next_index = 0;
+        let mut next_index = per_worker;
         while !rest.is_empty() {
             let take = (per_worker * chunk_len).min(rest.len());
             let (head, tail) = rest.split_at_mut(take);
@@ -127,6 +128,9 @@ where
                     f(base + i, chunk);
                 }
             }));
+        }
+        for (i, chunk) in first.chunks_mut(chunk_len).enumerate() {
+            f(i, chunk);
         }
         for h in handles {
             h.join().expect("pade-par worker panicked");

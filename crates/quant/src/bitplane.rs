@@ -259,23 +259,6 @@ impl PlaneRow {
         }
         count
     }
-
-    /// Number of positions set in both `self` and `other`:
-    /// `popcount(self & other)`, computed word-by-word. This is the inner
-    /// loop of the popcount QK kernel — with both rows tail-clear (an
-    /// invariant of [`PlaneRow::from_bits`]) the result is exactly the
-    /// number of shared set bits within `len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two rows cover different numbers of dimensions.
-    #[must_use]
-    pub fn and_popcount(&self, other: &PlaneRow) -> u32 {
-        assert_eq!(self.len, other.len, "plane lengths must match");
-        self.debug_assert_tail_clear();
-        other.debug_assert_tail_clear();
-        and_popcount_words(&self.words, &other.words)
-    }
 }
 
 /// `Σ popcount(a[i] & b[i])` over two equal-length word slices.
@@ -313,6 +296,36 @@ pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u32 {
         .map(|(x, y)| (x & y).count_ones())
         .sum();
     acc[0] + acc[1] + acc[2] + acc[3] + tail
+}
+
+/// Packs `values` into `bits` MSB-first planes of `⌈n/64⌉` words each:
+/// bit `i % 64` of word `i / 64` of plane `r` is bit `bits − 1 − r` of
+/// value `i`'s two's-complement pattern. Padding bits past `values.len()`
+/// stay clear.
+///
+/// Eight values are transposed at a time: their bytes load as one `u64`,
+/// `(x >> k) & 0x0101…01` keeps bit `k` of every byte, and multiplying by
+/// `0x0102_0408_1020_4080` gathers those eight bits into the top byte
+/// (every partial product lands on its own bit, so nothing carries).
+/// Values must already fit `bits` bits, so bits `k < bits` of the `i8`
+/// pattern are exactly the two's-complement bits.
+fn pack_plane_words(values: &[i8], bits: u32) -> Vec<Vec<u64>> {
+    const LOW_BITS: u64 = 0x0101_0101_0101_0101;
+    const GATHER: u64 = 0x0102_0408_1020_4080;
+    let mut planes = vec![vec![0u64; values.len().div_ceil(64)]; bits as usize];
+    for (g, group) in values.chunks(8).enumerate() {
+        let mut bytes = [0u8; 8];
+        for (b, &v) in bytes.iter_mut().zip(group) {
+            *b = v as u8;
+        }
+        let x = u64::from_le_bytes(bytes);
+        let (word, shift) = (g / 8, (g % 8) * 8);
+        for (k, plane) in (0..bits).rev().zip(&mut planes) {
+            let gathered = ((x >> k) & LOW_BITS).wrapping_mul(GATHER) >> 56;
+            plane[word] |= gathered << shift;
+        }
+    }
+    planes
 }
 
 /// All bit planes of one token vector, MSB first.
@@ -370,15 +383,13 @@ impl TokenPlanes {
                 "value {v} does not fit in {bits}-bit two's complement"
             );
         }
-        // Since each value fits in `bits` bits, the low `bits` bits of its i8
-        // representation are exactly its two's-complement pattern.
-        let mask = (1u32 << bits) - 1;
-        let planes = (0..bits)
-            .map(|r| {
-                PlaneRow::from_bits(values.iter().map(|&v| {
-                    let pattern = u32::from(v as u8) & mask;
-                    (pattern >> (bits - 1 - r)) & 1 == 1
-                }))
+        let planes = pack_plane_words(values, bits)
+            .into_iter()
+            .map(|words| {
+                let ones = words.iter().map(|w| w.count_ones()).sum();
+                let row = PlaneRow { words, len: values.len(), ones };
+                row.debug_assert_tail_clear();
+                row
             })
             .collect();
         Ok(Self { planes, bits, dims: values.len() })
@@ -785,8 +796,8 @@ mod tests {
             let a = PlaneRow::from_bits(a_bits.iter().copied());
             let b = PlaneRow::from_bits(b_bits.iter().copied());
             let expect = a_bits.iter().zip(&b_bits).filter(|(x, y)| **x && **y).count() as u32;
-            prop_assert_eq!(a.and_popcount(&b), expect);
-            prop_assert_eq!(b.and_popcount(&a), expect);
+            prop_assert_eq!(and_popcount_words(a.words(), b.words()), expect);
+            prop_assert_eq!(and_popcount_words(b.words(), a.words()), expect);
         }
 
         #[test]

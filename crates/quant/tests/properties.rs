@@ -8,7 +8,8 @@
 use std::sync::Arc;
 
 use pade_quant::{
-    plane_weight, uncertainty_span, BitPlaneMatrix, GrowableKeyCache, PlaneSource, TokenPlanes,
+    plane_weight, uncertainty_span, BitPlaneMatrix, GrowableKeyCache, PlaneRow, PlaneSource,
+    TokenPlanes,
 };
 use pade_testutil::{vec_i8, vec_i8_bits};
 use proptest::prelude::*;
@@ -28,6 +29,32 @@ proptest! {
         prop_assert_eq!(planes.dims(), n);
         let rec = planes.reconstruct();
         prop_assert_eq!(rec, values.iter().map(|&v| i32::from(v)).collect::<Vec<_>>());
+    }
+
+    /// The word-packed decomposition behind `TokenPlanes::try_from_values`
+    /// equals a per-bit `PlaneRow::from_bits` construction word for word,
+    /// tail bits included, at every width and at lengths around the word
+    /// boundaries. The engine and its seed oracle both read keys through
+    /// this decomposition, so their differential tests cannot catch a
+    /// packing error; this test is its own check.
+    #[test]
+    fn packed_decomposition_matches_per_bit_planes(
+        bits in 2u32..=8,
+        len_idx in 0usize..7,
+        seed in any::<u64>(),
+    ) {
+        let len = [1usize, 63, 64, 65, 127, 128, 200][len_idx];
+        let values = vec_i8_bits(len, seed, bits);
+        let packed = TokenPlanes::try_from_values(&values, bits).unwrap();
+        let mask = (1u32 << bits) - 1;
+        for r in 0..bits {
+            let per_bit = PlaneRow::from_bits(
+                values.iter().map(|&v| (u32::from(v as u8) & mask) >> (bits - 1 - r) & 1 == 1),
+            );
+            prop_assert_eq!(packed.plane(r).words(), per_bit.words(), "plane {}", r);
+            prop_assert!(packed.plane(r).tail_is_clear(), "plane {}", r);
+            prop_assert_eq!(packed.plane(r), &per_bit, "plane {}", r);
+        }
     }
 
     /// Plane weights are the two's-complement column weights: they sum to
