@@ -5,8 +5,8 @@
 //!
 //! * **sequential seed path** — [`run_qk_block_reference`] (the original
 //!   hash-map/per-bit engine) looped block by block, and
-//! * **parallel engine** — the allocation-lean [`run_qk_blocks_par`]
-//!   fan-out over `pade-par` worker threads,
+//! * **parallel engine** — the allocation-lean [`run_qk`] dispatch,
+//!   fanned out over `pade-par` worker threads,
 //!
 //! asserts the two produce **bit-identical** results, and records
 //! wall-clock, simulated cycles and speedup. [`write_json`] serializes a
@@ -118,11 +118,13 @@ pub(crate) mod prep {
 }
 
 use std::io::Write as _;
+use std::sync::Arc;
 use std::time::Instant;
 
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_block_reference, run_qk_blocks_par, QkBlockResult};
+use pade_core::engine::{run_qk, run_qk_block_reference, QkBatchJob, QkBlockResult};
 use pade_quant::BitPlaneMatrix;
+use pade_trace::Tracer;
 use pade_workload::trace::{AttentionTrace, TraceConfig};
 
 /// One benchmarked attention shape.
@@ -226,10 +228,17 @@ pub(crate) fn time_best_of<R>(iters: usize, mut f: impl FnMut() -> R) -> (R, f64
 #[must_use]
 pub fn run_shape(spec: &ShapeSpec, config: &PadeConfig) -> ShapeResult {
     let trace = trace_for(spec);
-    let keys = BitPlaneMatrix::from_rows(trace.keys().as_slice(), trace.keys().cols(), config.bits)
-        .expect("key bit planes");
+    let keys = Arc::new(
+        BitPlaneMatrix::from_rows(trace.keys().as_slice(), trace.keys().cols(), config.bits)
+            .expect("key bit planes"),
+    );
     let queries: Vec<&[i8]> = (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
     let scale = trace.logit_scale();
+    let head = [QkBatchJob {
+        queries: queries.clone(),
+        keys: Arc::clone(&keys).into(),
+        logit_scale: scale,
+    }];
 
     // Small shapes are timed best-of-3 to squeeze out scheduler noise;
     // the 4k shapes run long enough that one measurement is stable.
@@ -242,7 +251,7 @@ pub fn run_shape(spec: &ShapeSpec, config: &PadeConfig) -> ShapeResult {
             .collect()
     });
     let (par_results, par_wall_s) =
-        time_best_of(iters, || run_qk_blocks_par(config, &queries, &keys, scale));
+        time_best_of(iters, || run_qk(config, &head, true, &Tracer::disabled(), 0).remove(0));
 
     assert_eq!(
         seq_results,
@@ -310,7 +319,7 @@ pub fn write_json(
     writeln!(
         f,
         "  \"paths\": {{\"sequential\": \"run_qk_block_reference per block\", \
-         \"parallel\": \"run_qk_blocks_par (allocation-lean engine + thread fan-out)\"}},"
+         \"parallel\": \"run_qk (allocation-lean engine + thread fan-out)\"}},"
     )?;
     writeln!(f, "  \"shapes\": [")?;
     for (i, r) in results.iter().enumerate() {

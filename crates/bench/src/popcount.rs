@@ -14,14 +14,13 @@
 //! against the seed oracle [`run_qk_block_reference`] at every shape.
 //!
 //! The fused sweep dispatches one decode step across `H` heads twice:
-//! as `H` separate [`run_qk_blocks`] calls (one scheduling round-trip
-//! per head) and as one [`run_qk_fused`] job (one shared query
-//! decomposition, one fan-out), hard-checking byte-identity between the
-//! two and against their parallel variants.
+//! as `H` separate single-head [`run_qk`] calls (one scheduling
+//! round-trip per head) and as one `H`-head [`run_qk`] call (one shared
+//! query decomposition, one fan-out), hard-checking byte-identity between
+//! the two, sequential and parallel.
 //!
 //! [`run_qk_block_reference`]: pade_core::engine::run_qk_block_reference
-//! [`run_qk_blocks`]: pade_core::engine::run_qk_blocks
-//! [`run_qk_fused`]: pade_core::engine::run_qk_fused
+//! [`run_qk`]: pade_core::engine::run_qk
 //! [`QRowLut`]: pade_core::bitserial::QRowLut
 
 use std::io::Write as _;
@@ -30,12 +29,10 @@ use pade_core::bitserial::{
     plane_contribution_lut, plane_contribution_planes, QRowLut, QRowPlanes,
 };
 use pade_core::config::PadeConfig;
-use pade_core::engine::{
-    run_qk_block_reference, run_qk_blocks, run_qk_fused, run_qk_fused_par, KeySource, QkBatchJob,
-    QkFusedJob,
-};
+use pade_core::engine::{run_qk, run_qk_block, run_qk_block_reference, KeySource, QkBatchJob};
 use pade_core::gsat::{Gsat, PlaneAbsorb};
 use pade_quant::BitPlaneMatrix;
+use pade_trace::Tracer;
 use pade_workload::trace::{AttentionTrace, TraceConfig};
 
 use crate::{time_best_of, ShapeSpec};
@@ -70,14 +67,14 @@ pub struct FusedResult {
     pub seq_len: usize,
     /// Per-head hidden dimension.
     pub head_dim: usize,
-    /// Wall-clock seconds of the per-head loop (one `run_qk_blocks` call
-    /// per head, sequential).
+    /// Wall-clock seconds of the per-head loop (one single-head `run_qk`
+    /// call per head, sequential).
     pub per_head_wall_s: f64,
-    /// Wall-clock seconds of the fused dispatch (`run_qk_fused`,
-    /// sequential).
+    /// Wall-clock seconds of the fused dispatch (one `H`-head `run_qk`
+    /// call, sequential).
     pub fused_wall_s: f64,
-    /// Wall-clock seconds of the parallel per-head loop (one
-    /// `run_qk_blocks_par` fan-out per head).
+    /// Wall-clock seconds of the parallel per-head loop (one `run_qk`
+    /// fan-out per head).
     pub per_head_par_wall_s: f64,
     /// Wall-clock seconds of the parallel fused dispatch (one fan-out
     /// total).
@@ -213,10 +210,10 @@ pub fn run_kernel_shape(spec: &ShapeSpec, config: &PadeConfig) -> KernelShapeRes
     // Engine outputs at this measured point: popcount engine vs the seed
     // oracle, block by block.
     let scale = trace.logit_scale();
-    let engine = run_qk_blocks(config, &queries, &keys, scale);
     for (i, block) in queries.chunks(config.pe_rows).enumerate() {
+        let engine = run_qk_block(config, block, &keys, scale);
         let oracle = run_qk_block_reference(config, block, &keys, scale);
-        assert_eq!(engine[i], oracle, "{}: engine block {i} diverged from the oracle", spec.id());
+        assert_eq!(engine, oracle, "{}: engine block {i} diverged from the oracle", spec.id());
     }
 
     KernelShapeResult {
@@ -264,36 +261,28 @@ pub fn run_fused_point(
                 .into()
         })
         .collect();
-    let job = QkFusedJob {
-        heads: traces
-            .iter()
-            .zip(&sources)
-            .map(|(t, keys)| QkBatchJob {
-                queries: vec![t.queries().row(0)],
-                keys: keys.clone(),
-                logit_scale: t.logit_scale(),
-            })
-            .collect(),
+    let jobs: Vec<QkBatchJob> = traces
+        .iter()
+        .zip(&sources)
+        .map(|(t, keys)| QkBatchJob {
+            queries: vec![t.queries().row(0)],
+            keys: keys.clone(),
+            logit_scale: t.logit_scale(),
+        })
+        .collect();
+    let per_head = |parallel: bool| {
+        jobs.iter()
+            .map(|h| run_qk(config, std::slice::from_ref(h), parallel, &Tracer::disabled(), 0))
+            .map(|mut blocks| blocks.remove(0))
+            .collect::<Vec<_>>()
     };
+    let fused = |parallel: bool| run_qk(config, &jobs, parallel, &Tracer::disabled(), 0);
 
     let iters = if seq_len >= 4096 { 2 } else { 5 };
-    let (loop_results, per_head_wall_s) = time_best_of(iters, || {
-        job.heads
-            .iter()
-            .map(|h| run_qk_blocks_on_source(config, &h.queries, &h.keys, h.logit_scale))
-            .collect::<Vec<_>>()
-    });
-    let (fused_results, fused_wall_s) = time_best_of(iters, || run_qk_fused(config, &job));
-    let (loop_par_results, per_head_par_wall_s) = time_best_of(iters, || {
-        job.heads
-            .iter()
-            .map(|h| {
-                pade_core::engine::run_qk_blocks_par_on(config, &h.queries, &h.keys, h.logit_scale)
-            })
-            .collect::<Vec<_>>()
-    });
-    let (fused_par_results, fused_par_wall_s) =
-        time_best_of(iters, || run_qk_fused_par(config, &job));
+    let (loop_results, per_head_wall_s) = time_best_of(iters, || per_head(false));
+    let (fused_results, fused_wall_s) = time_best_of(iters, || fused(false));
+    let (loop_par_results, per_head_par_wall_s) = time_best_of(iters, || per_head(true));
+    let (fused_par_results, fused_par_wall_s) = time_best_of(iters, || fused(true));
 
     assert_eq!(fused_results, loop_results, "fused dispatch diverged from the per-head loop");
     assert_eq!(loop_par_results, loop_results, "parallel per-head loop diverged");
@@ -310,15 +299,6 @@ pub fn run_fused_point(
         speedup: per_head_wall_s / fused_wall_s.max(f64::MIN_POSITIVE),
         bit_identical: true,
     }
-}
-
-fn run_qk_blocks_on_source(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeySource,
-    scale: f32,
-) -> Vec<pade_core::engine::QkBlockResult> {
-    pade_core::engine::run_qk_blocks_on(config, queries, keys, scale)
 }
 
 /// Runs the whole popcount sweep under the standard configuration: the

@@ -116,31 +116,14 @@ enum PlaneState {
     Present,
 }
 
-/// Runs the QK-PU over one block of query rows.
+/// Runs the QK-PU over one block of query rows, untraced.
 ///
 /// `queries[r]` is the r-th query row (all rows share the key tensor);
 /// `logit_scale` maps integer scores to logits for the guard margin.
-///
-/// Delegates to the generic [`run_qk_block_on`]; see there for the
-/// allocation-lean hot-path details.
-///
-/// # Panics
-///
-/// Panics if `queries` is empty, exceeds `config.pe_rows`, or any row's
-/// length differs from the key dimension.
-#[must_use]
-pub fn run_qk_block(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &BitPlaneMatrix,
-    logit_scale: f32,
-) -> QkBlockResult {
-    run_qk_block_on(config, queries, keys, logit_scale)
-}
-
-/// The optimized engine over any [`PlaneSource`] — a from-scratch
-/// [`BitPlaneMatrix`], an `Arc`-shared tensor or a chunked
-/// [`KeyCacheSnapshot`] of a growable per-session cache.
+/// `keys` is any [`PlaneSource`] — a from-scratch [`BitPlaneMatrix`], an
+/// `Arc`-shared tensor, a [`KeySource`] or a chunked [`KeyCacheSnapshot`]
+/// of a growable per-session cache. Multi-block and multi-head work goes
+/// through [`run_qk`] instead.
 ///
 /// This is the allocation-lean hot path: the shared K-buffer state lives
 /// in a flat `Vec` indexed by `(token, plane)` instead of a hash map, each
@@ -156,8 +139,7 @@ pub fn run_qk_block(
 /// Results are bit-identical to [`run_qk_block_reference`]
 /// (property-tested below): the restructuring only changes *how* the same
 /// integers are computed, and the storage behind `keys` never reaches the
-/// arithmetic — only the per-token
-/// [`TokenPlanes`](pade_quant::TokenPlanes) do.
+/// arithmetic — only the per-token [`TokenPlanes`] do.
 ///
 /// # Panics
 ///
@@ -166,75 +148,38 @@ pub fn run_qk_block(
 /// finished after 10⁸ cycles (a livelock guard) rather than return a
 /// truncated result.
 #[must_use]
-pub fn run_qk_block_on<K: PlaneSource + ?Sized>(
+pub fn run_qk_block<K: PlaneSource + ?Sized>(
     config: &PadeConfig,
     queries: &[&[i8]],
     keys: &K,
     logit_scale: f32,
 ) -> QkBlockResult {
-    run_qk_block_on_traced(config, queries, keys, logit_scale, &Tracer::disabled(), 0)
-}
-
-/// [`run_qk_block_on`] with telemetry: the query-decompose and block stage
-/// spans plus kernel counters (plane-AND words, popcounts, LUT lookups,
-/// bytes touched) are recorded through `tracer` onto
-/// [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE) consecutive
-/// tracks starting at `track`. Telemetry never feeds back into the
-/// simulation: the returned [`QkBlockResult`] is byte-identical to the
-/// untraced call (and to [`run_qk_block_reference`]) whether `tracer` is
-/// recording, disabled, or compiled out.
-///
-/// # Panics
-///
-/// As [`run_qk_block_on`].
-#[must_use]
-pub fn run_qk_block_on_traced<K: PlaneSource + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-    tracer: &Tracer,
-    track: u64,
-) -> QkBlockResult {
-    let q_wall = tracer.is_active().then(std::time::Instant::now);
     let qplanes: Vec<QRowPlanes> = queries.iter().map(|q| QRowPlanes::new(q)).collect();
     let borrowed: Vec<&QRowPlanes> = qplanes.iter().collect();
-    if let Some(t0) = q_wall {
-        tracer.span_at(
-            track,
-            "engine.q_decompose",
-            Cycle::ZERO,
-            Cycle::ZERO,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    run_qk_block_prepared(
-        config,
-        queries,
-        &borrowed,
-        keys,
-        logit_scale,
-        BlockTrace { tracer, track },
-    )
+    let trace = BlockTrace { tracer: &Tracer::disabled(), track: 0 };
+    run_qk_block_prepared(config, queries, &borrowed, keys, logit_scale, trace)
 }
 
-/// [`run_qk_block_on`] with the per-row query decompositions already
-/// built. The fused dispatch uses this to share one decomposition across
-/// every head (and layer) scoring the same query rows; `qplanes[r]` must
-/// be the decomposition of `queries[r]`.
-///
 /// Telemetry hookup of one engine block dispatch: a tracer handle plus the
-/// dispatch's base track id. Recording is a pure side channel — nothing
-/// here reaches the simulated arithmetic or timing.
+/// block's base track id. Recording is a pure side channel — nothing here
+/// reaches the simulated arithmetic or timing.
 #[derive(Clone, Copy)]
 struct BlockTrace<'a> {
     tracer: &'a Tracer,
     track: u64,
 }
 
+/// [`run_qk_block`] with the per-row query decompositions already built,
+/// so [`run_qk`] can share one decomposition across every head (and
+/// layer) scoring the same query rows; `qplanes[r]` must be the
+/// decomposition of `queries[r]`. The block's stage spans and kernel
+/// counters record onto
+/// [`DISPATCH_STRIDE`](pade_trace::track::DISPATCH_STRIDE) consecutive
+/// tracks starting at `trace.track`.
+///
 /// # Panics
 ///
-/// As [`run_qk_block_on`]; additionally if `qplanes.len() != queries.len()`
+/// As [`run_qk_block`]; additionally if `qplanes.len() != queries.len()`
 /// or any decomposition's width differs from its query row's.
 fn run_qk_block_prepared<K: PlaneSource + ?Sized>(
     config: &PadeConfig,
@@ -581,158 +526,6 @@ enum SlotState {
     Present,
 }
 
-/// Runs a batch of query rows as a sequence of independent
-/// `config.pe_rows`-sized blocks (how a prefill of many query rows maps
-/// onto one QK-PU): block `i` covers `queries[i·pe_rows ..]`.
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[must_use]
-pub fn run_qk_blocks(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &BitPlaneMatrix,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks`] over any [`PlaneSource`].
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[must_use]
-pub fn run_qk_blocks_on<K: PlaneSource + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    queries
-        .chunks(config.pe_rows)
-        .map(|block| run_qk_block_on(config, block, keys, logit_scale))
-        .collect()
-}
-
-/// Parallel variant of [`run_qk_blocks`]: blocks fan out across worker
-/// threads and are merged back in block order. Each block simulates its
-/// own HBM/SRAM instances (exactly as in the sequential loop), so the
-/// returned vector is **bit-identical** to [`run_qk_blocks`] regardless
-/// of thread count.
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &BitPlaneMatrix,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_par_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks_par`] over any [`PlaneSource`].
-///
-/// # Panics
-///
-/// Panics if any row's length differs from the key dimension.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par_on<K: PlaneSource + Sync + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    let blocks: Vec<&[&[i8]]> = queries.chunks(config.pe_rows).collect();
-    pade_par::par_map(&blocks, |block| run_qk_block_on(config, block, keys, logit_scale))
-}
-
-/// [`run_qk_blocks_par_on`] with telemetry: block `i` records onto tracks
-/// `base_track + i·DISPATCH_STRIDE`. Block indices — not worker identity —
-/// assign the tracks, so recorded traces are identical at any
-/// `PADE_THREADS`. Results stay byte-identical to the untraced call.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks_par`].
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par_traced<K: PlaneSource + Sync + ?Sized>(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &K,
-    logit_scale: f32,
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<QkBlockResult> {
-    let blocks: Vec<&[&[i8]]> = queries.chunks(config.pe_rows).collect();
-    pade_par::par_map_indexed(blocks.len(), |i| {
-        run_qk_block_on_traced(
-            config,
-            blocks[i],
-            keys,
-            logit_scale,
-            tracer,
-            base_track + i as u64 * trace_track::DISPATCH_STRIDE,
-        )
-    })
-}
-
-/// [`run_qk_block`] over a [`KeyCacheSnapshot`] — one engine block against
-/// the frozen prefix of a growable per-session key cache (prefix planes +
-/// fresh tail), without materializing a contiguous tensor.
-///
-/// # Panics
-///
-/// As [`run_qk_block`].
-#[must_use]
-pub fn run_qk_block_cached(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeyCacheSnapshot,
-    logit_scale: f32,
-) -> QkBlockResult {
-    run_qk_block_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks`] over a [`KeyCacheSnapshot`].
-///
-/// # Panics
-///
-/// As [`run_qk_blocks`].
-#[must_use]
-pub fn run_qk_blocks_cached(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeyCacheSnapshot,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_on(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks_par`] over a [`KeyCacheSnapshot`]: worker threads
-/// borrow the snapshot's `Arc`-shared chunks instead of cloning planes.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks_par`].
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_cached_par(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &KeyCacheSnapshot,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_par_on(config, queries, keys, logit_scale)
-}
-
 /// A key bit-plane tensor shared across blocks, sessions and worker
 /// threads without cloning.
 ///
@@ -742,58 +535,6 @@ pub fn run_qk_blocks_cached_par(
 /// immutable planes; `Arc` makes that sharing explicit and keeps the
 /// plane memory alive exactly as long as any in-flight block needs it.
 pub type SharedKeyPlanes = Arc<BitPlaneMatrix>;
-
-/// [`run_qk_block`] over an [`Arc`]-shared key tensor.
-///
-/// Delegates to [`run_qk_block`]; results are identical. Exists so
-/// session-style callers holding [`SharedKeyPlanes`] don't have to spell
-/// the double deref at every call site.
-///
-/// # Panics
-///
-/// As [`run_qk_block`].
-#[must_use]
-pub fn run_qk_block_shared(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &SharedKeyPlanes,
-    logit_scale: f32,
-) -> QkBlockResult {
-    run_qk_block(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks`] over an [`Arc`]-shared key tensor.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks`].
-#[must_use]
-pub fn run_qk_blocks_shared(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &SharedKeyPlanes,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks(config, queries, keys, logit_scale)
-}
-
-/// [`run_qk_blocks_par`] over an [`Arc`]-shared key tensor: worker
-/// threads borrow the one plane allocation instead of the caller cloning
-/// key planes per block.
-///
-/// # Panics
-///
-/// As [`run_qk_blocks_par`].
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_blocks_par_shared(
-    config: &PadeConfig,
-    queries: &[&[i8]],
-    keys: &SharedKeyPlanes,
-    logit_scale: f32,
-) -> Vec<QkBlockResult> {
-    run_qk_blocks_par(config, queries, keys, logit_scale)
-}
 
 /// The key planes one batched engine block attends over: either a whole
 /// [`Arc`]-shared tensor (decomposed once at admission, the prefill path)
@@ -862,152 +603,132 @@ impl From<KeyCacheSnapshot> for KeySource {
     }
 }
 
-/// One engine block of a heterogeneous batch: its query rows, the
-/// [`KeySource`] it attends over and the logit scale mapping its integer
-/// scores.
+/// One head of a [`run_qk`] dispatch: its query rows, the [`KeySource`]
+/// it attends over and the logit scale mapping its integer scores.
 ///
-/// Unlike [`run_qk_blocks`], a batch may mix blocks from *different*
-/// requests with different key tensors — and mix whole shared tensors
-/// with growable-cache snapshots — the unit of work the serving layer's
-/// iteration-level scheduler dispatches.
+/// A dispatch may mix heads from *different* requests with different key
+/// tensors — and mix whole shared tensors with growable-cache snapshots —
+/// the unit of work the serving layer's iteration-level scheduler
+/// dispatches.
 #[derive(Debug, Clone)]
 pub struct QkBatchJob<'a> {
-    /// Query rows of this block (at most `config.pe_rows`).
+    /// Query rows of this head; [`run_qk`] splits them into
+    /// `config.pe_rows`-sized blocks.
     pub queries: Vec<&'a [i8]>,
-    /// Key planes of this block (cheap to clone: refcounts only).
+    /// Key planes of this head (cheap to clone: refcounts only).
     pub keys: KeySource,
-    /// Logit scale of this block's operands.
+    /// Logit scale of this head's operands.
     pub logit_scale: f32,
 }
 
-/// Runs a heterogeneous batch of engine blocks sequentially.
-///
-/// Each job simulates its own HBM/SRAM instances (exactly as
-/// [`run_qk_blocks`] does per block), so `results[i]` is **bit-identical**
-/// to running job `i` alone through [`run_qk_block`] — and therefore to
-/// the seed oracle [`run_qk_block_reference`]. Batching changes wall-clock
-/// and scheduling, never outputs; this is the property the serving
-/// layer's bit-identity tests pin down.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per job.
-#[must_use]
-pub fn run_qk_batch(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlockResult> {
-    jobs.iter()
-        .map(|job| run_qk_block_on(config, &job.queries, &job.keys, job.logit_scale))
-        .collect()
-}
-
-/// [`run_qk_batch`] with telemetry: job `i` records onto tracks
-/// `base_track + i·DISPATCH_STRIDE`. Results stay byte-identical to the
-/// untraced call.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per job.
-#[must_use]
-pub fn run_qk_batch_traced(
-    config: &PadeConfig,
-    jobs: &[QkBatchJob<'_>],
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<QkBlockResult> {
-    jobs.iter()
-        .enumerate()
-        .map(|(i, job)| {
-            run_qk_block_on_traced(
-                config,
-                &job.queries,
-                &job.keys,
-                job.logit_scale,
-                tracer,
-                base_track + i as u64 * trace_track::DISPATCH_STRIDE,
-            )
-        })
-        .collect()
-}
-
-/// Parallel variant of [`run_qk_batch`]: jobs fan out across worker
-/// threads and are merged back in job order, bit-identical to the
-/// sequential loop regardless of thread count.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per job.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_batch_par(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlockResult> {
-    pade_par::par_map(jobs, |job| run_qk_block_on(config, &job.queries, &job.keys, job.logit_scale))
-}
-
-/// [`run_qk_batch_par`] with telemetry; job indices (not worker identity)
-/// assign tracks, so traces are identical at any `PADE_THREADS`.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per job.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_batch_par_traced(
-    config: &PadeConfig,
-    jobs: &[QkBatchJob<'_>],
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<QkBlockResult> {
-    pade_par::par_map_indexed(jobs.len(), |i| {
-        let job = &jobs[i];
-        run_qk_block_on_traced(
-            config,
-            &job.queries,
-            &job.keys,
-            job.logit_scale,
-            tracer,
-            base_track + i as u64 * trace_track::DISPATCH_STRIDE,
-        )
-    })
-}
-
 /// Every head (and, stacked across layers, every layer-head) of one token
-/// step, fused into a single kernel dispatch.
-///
-/// The serving layer's per-step work is `H` (or `L·H`) engine blocks that
-/// all score the *same* step's query rows against per-head key planes.
-/// Dispatching them one by one costs one scheduling round-trip — and one
-/// query bit-plane decomposition per row — per head. A fused job instead:
-///
-/// 1. decomposes every distinct query row **once** (rows are deduplicated
-///    by slice identity, so heads sharing a row — the multi-layer and
-///    grouped-query cases — share one [`QRowPlanes`]), and
-/// 2. fans all blocks of all heads out in **one** `pade-par` round-trip.
-///
-/// Results are byte-identical to running each head through
-/// [`run_qk_blocks`] on its own — fusion changes scheduling, never
-/// outputs.
+/// step, as taken by the [`run_qk_fused`] wrappers; [`run_qk`] takes the
+/// heads directly.
 #[derive(Debug, Clone)]
 pub struct QkFusedJob<'a> {
     /// One entry per head (or layer-head): its query rows, key planes and
-    /// logit scale. Unlike [`QkBatchJob`], entries may carry more than
-    /// `config.pe_rows` rows; each entry is chunked into engine blocks
-    /// exactly as [`run_qk_blocks`] would.
+    /// logit scale.
     pub heads: Vec<QkBatchJob<'a>>,
 }
 
-/// One (head, block) unit of a fused dispatch: the head index, the
-/// block's query rows, and per-row indices into the shared
-/// [`QRowPlanes`] pool.
+/// Runs every engine block of one dispatch: each head's query rows are
+/// split into `config.pe_rows`-sized blocks (block `i` covers
+/// `head.queries[i·pe_rows ..]`), and `results[h]` holds head `h`'s block
+/// results in block order. A head with no query rows yields no blocks.
+///
+/// This is the one multi-block entry point — prefill chunks, batched
+/// decode steps and fused multi-head (or multi-layer) token steps alike:
+///
+/// 1. every distinct query row is decomposed **once** (rows are
+///    deduplicated by slice identity, so heads sharing a row — the
+///    multi-layer and grouped-query cases — share one [`QRowPlanes`]), and
+/// 2. the blocks of all heads run in submission order, or, with
+///    `parallel` set, fan out in **one** `pade-par` round-trip and merge
+///    back in that order. Without the `parallel` feature the blocks always
+///    run sequentially.
+///
+/// Each block simulates its own HBM/SRAM instances, so every result is
+/// **bit-identical** to [`run_qk_block`] on that block alone — and
+/// therefore to the seed oracle [`run_qk_block_reference`] — whatever
+/// `parallel`, the tracer or `PADE_THREADS`. Batching and fusion change
+/// wall-clock and scheduling, never outputs.
+///
+/// Telemetry: the shared query-decompose prepass and the fan-out span
+/// record onto the dispatcher track `base_track`; block `u` (in
+/// submission order) records onto tracks
+/// `base_track + (1 + u)·DISPATCH_STRIDE`. Block indices — not worker
+/// identity — assign the tracks, so recorded traces are identical
+/// sequential or parallel.
+///
+/// # Panics
+///
+/// As [`run_qk_block`], per block.
+#[must_use]
+pub fn run_qk(
+    config: &PadeConfig,
+    heads: &[QkBatchJob<'_>],
+    parallel: bool,
+    tracer: &Tracer,
+    base_track: u64,
+) -> Vec<Vec<QkBlockResult>> {
+    let prep_wall = tracer.is_active().then(std::time::Instant::now);
+    let (qplanes, units) = fused_prepass(config, heads);
+    if let Some(t0) = prep_wall {
+        tracer.span_at(
+            base_track,
+            "engine.q_decompose",
+            Cycle::ZERO,
+            Cycle::ZERO,
+            t0.elapsed().as_nanos() as u64,
+        );
+    }
+    let fan_wall = tracer.is_active().then(std::time::Instant::now);
+    let run_unit = |u: usize| {
+        let (head, block, plane_ids) = &units[u];
+        let borrowed: Vec<&QRowPlanes> = plane_ids.iter().map(|&i| &qplanes[i]).collect();
+        let entry = &heads[*head];
+        let track = base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE;
+        let trace = BlockTrace { tracer, track };
+        run_qk_block_prepared(config, block, &borrowed, &entry.keys, entry.logit_scale, trace)
+    };
+    let flat: Vec<QkBlockResult> = match parallel {
+        #[cfg(feature = "parallel")]
+        true => pade_par::par_map_indexed(units.len(), run_unit),
+        _ => (0..units.len()).map(run_unit).collect(),
+    };
+    let mut results: Vec<Vec<QkBlockResult>> = heads.iter().map(|_| Vec::new()).collect();
+    for ((head, _, _), result) in units.iter().zip(flat) {
+        results[*head].push(result);
+    }
+    if let Some(t0) = fan_wall {
+        // Logical length = the longest block horizon (blocks run
+        // concurrently on hardware); wall annotation = measured fan-out.
+        let horizon = results.iter().flatten().map(|r| r.cycles).max().unwrap_or(Cycle::ZERO);
+        tracer.span_at(
+            base_track,
+            "engine.fused_fanout",
+            Cycle::ZERO,
+            horizon,
+            t0.elapsed().as_nanos() as u64,
+        );
+    }
+    results
+}
+
+/// One (head, block) unit of a dispatch: the head index, the block's
+/// query rows, and per-row indices into the shared [`QRowPlanes`] pool.
 type FusedUnit<'a> = (usize, &'a [&'a [i8]], Vec<usize>);
 
-/// Shared prepass of the fused dispatch: decompose every distinct query
-/// row once and hand each (head, block) unit borrowed decompositions.
+/// Shared prepass of [`run_qk`]: decompose every distinct query row once
+/// and hand each (head, block) unit borrowed decompositions.
 fn fused_prepass<'a>(
     config: &PadeConfig,
-    job: &'a QkFusedJob<'a>,
+    heads: &'a [QkBatchJob<'a>],
 ) -> (Vec<QRowPlanes>, Vec<FusedUnit<'a>>) {
     let mut dedup: HashMap<(usize, usize), usize> = HashMap::new();
     let mut qplanes: Vec<QRowPlanes> = Vec::new();
     let mut units: Vec<FusedUnit<'a>> = Vec::new();
-    for (head, entry) in job.heads.iter().enumerate() {
+    for (head, entry) in heads.iter().enumerate() {
         for block in entry.queries.chunks(config.pe_rows) {
             let plane_ids = block
                 .iter()
@@ -1024,72 +745,58 @@ fn fused_prepass<'a>(
     (qplanes, units)
 }
 
-/// Runs a fused multi-head job sequentially: one shared query-decomposition
-/// prepass, then every block of every head in submission order.
+/// The result of each single-block job of a [`run_qk`] dispatch.
 ///
-/// `results[h]` is byte-identical to
-/// `run_qk_blocks_on(config, &job.heads[h].queries, …)`.
+/// # Panics
+///
+/// Panics unless every job held `1..=config.pe_rows` query rows.
+fn one_block_per_job(heads: Vec<Vec<QkBlockResult>>) -> Vec<QkBlockResult> {
+    heads
+        .into_iter()
+        .map(|mut blocks| {
+            assert_eq!(blocks.len(), 1, "a batch job holds 1..=pe_rows query rows");
+            blocks.remove(0)
+        })
+        .collect()
+}
+
+/// [`run_qk`] sequentially and untraced, one result per job. Kept only
+/// because the `pade-e2e` benchmark calls it.
+///
+/// # Panics
+///
+/// As [`run_qk_block`], per job; also if a job holds more than
+/// `config.pe_rows` query rows.
+#[must_use]
+pub fn run_qk_batch(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlockResult> {
+    one_block_per_job(run_qk(config, jobs, false, &Tracer::disabled(), 0))
+}
+
+/// [`run_qk`] in parallel and untraced, one result per job. Kept only
+/// because the `pade-e2e` benchmark calls it.
+///
+/// # Panics
+///
+/// As [`run_qk_batch`].
+#[cfg(feature = "parallel")]
+#[must_use]
+pub fn run_qk_batch_par(config: &PadeConfig, jobs: &[QkBatchJob<'_>]) -> Vec<QkBlockResult> {
+    one_block_per_job(run_qk(config, jobs, true, &Tracer::disabled(), 0))
+}
+
+/// [`run_qk`] over `job.heads`, sequentially and untraced. Kept only
+/// because the `pade-e2e` benchmark calls it.
 ///
 /// # Panics
 ///
 /// As [`run_qk_block`], per block.
 #[must_use]
 pub fn run_qk_fused(config: &PadeConfig, job: &QkFusedJob<'_>) -> Vec<Vec<QkBlockResult>> {
-    run_qk_fused_traced(config, job, &Tracer::disabled(), 0)
+    run_qk(config, &job.heads, false, &Tracer::disabled(), 0)
 }
 
-/// [`run_qk_fused`] with telemetry: the shared query-decompose prepass and
-/// the fan-out span record onto the dispatcher track `base_track`; unit
-/// `u` (in deterministic prepass order) records onto tracks
-/// `base_track + (1 + u)·DISPATCH_STRIDE`. Results stay byte-identical to
-/// the untraced call.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per block.
-#[must_use]
-pub fn run_qk_fused_traced(
-    config: &PadeConfig,
-    job: &QkFusedJob<'_>,
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<Vec<QkBlockResult>> {
-    let prep_wall = tracer.is_active().then(std::time::Instant::now);
-    let (qplanes, units) = fused_prepass(config, job);
-    if let Some(t0) = prep_wall {
-        tracer.span_at(
-            base_track,
-            "engine.q_decompose",
-            Cycle::ZERO,
-            Cycle::ZERO,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    let fan_wall = tracer.is_active().then(std::time::Instant::now);
-    let mut results: Vec<Vec<QkBlockResult>> = job.heads.iter().map(|_| Vec::new()).collect();
-    for (u, (head, block, plane_ids)) in units.iter().enumerate() {
-        let borrowed: Vec<&QRowPlanes> = plane_ids.iter().map(|&i| &qplanes[i]).collect();
-        let entry = &job.heads[*head];
-        results[*head].push(run_qk_block_prepared(
-            config,
-            block,
-            &borrowed,
-            &entry.keys,
-            entry.logit_scale,
-            BlockTrace {
-                tracer,
-                track: base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE,
-            },
-        ));
-    }
-    emit_fanout_span(tracer, base_track, fan_wall, &results);
-    results
-}
-
-/// Parallel variant of [`run_qk_fused`]: all blocks of all heads fan out
-/// in **one** `pade-par` round-trip (instead of one spawn round per head),
-/// sharing the one query-decomposition prepass. Byte-identical to
-/// [`run_qk_fused`] and to the per-head loop regardless of thread count.
+/// [`run_qk`] over `job.heads`, in parallel and untraced. Kept only
+/// because the `pade-e2e` benchmark calls it.
 ///
 /// # Panics
 ///
@@ -1097,78 +804,7 @@ pub fn run_qk_fused_traced(
 #[cfg(feature = "parallel")]
 #[must_use]
 pub fn run_qk_fused_par(config: &PadeConfig, job: &QkFusedJob<'_>) -> Vec<Vec<QkBlockResult>> {
-    run_qk_fused_par_traced(config, job, &Tracer::disabled(), 0)
-}
-
-/// [`run_qk_fused_par`] with telemetry, laid out exactly as
-/// [`run_qk_fused_traced`]: unit indices from the deterministic prepass —
-/// not worker identity — assign tracks, so the recorded trace is identical
-/// at any `PADE_THREADS`.
-///
-/// # Panics
-///
-/// As [`run_qk_block`], per block.
-#[cfg(feature = "parallel")]
-#[must_use]
-pub fn run_qk_fused_par_traced(
-    config: &PadeConfig,
-    job: &QkFusedJob<'_>,
-    tracer: &Tracer,
-    base_track: u64,
-) -> Vec<Vec<QkBlockResult>> {
-    let prep_wall = tracer.is_active().then(std::time::Instant::now);
-    let (qplanes, units) = fused_prepass(config, job);
-    if let Some(t0) = prep_wall {
-        tracer.span_at(
-            base_track,
-            "engine.q_decompose",
-            Cycle::ZERO,
-            Cycle::ZERO,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
-    let fan_wall = tracer.is_active().then(std::time::Instant::now);
-    let flat = pade_par::par_map_indexed(units.len(), |u| {
-        let (head, block, plane_ids) = &units[u];
-        let borrowed: Vec<&QRowPlanes> = plane_ids.iter().map(|&i| &qplanes[i]).collect();
-        let entry = &job.heads[*head];
-        (
-            *head,
-            run_qk_block_prepared(config, block, &borrowed, &entry.keys, entry.logit_scale, {
-                BlockTrace {
-                    tracer,
-                    track: base_track + (1 + u as u64) * trace_track::DISPATCH_STRIDE,
-                }
-            }),
-        )
-    });
-    let mut results: Vec<Vec<QkBlockResult>> = job.heads.iter().map(|_| Vec::new()).collect();
-    for (head, result) in flat {
-        results[head].push(result);
-    }
-    emit_fanout_span(tracer, base_track, fan_wall, &results);
-    results
-}
-
-/// Closes the fused-dispatch fan-out span: logical length = the longest
-/// block horizon of the dispatch (blocks run concurrently on hardware),
-/// wall annotation = measured fan-out time.
-fn emit_fanout_span(
-    tracer: &Tracer,
-    base_track: u64,
-    fan_wall: Option<std::time::Instant>,
-    results: &[Vec<QkBlockResult>],
-) {
-    if let Some(t0) = fan_wall {
-        let horizon = results.iter().flatten().map(|r| r.cycles).max().unwrap_or(Cycle::ZERO);
-        tracer.span_at(
-            base_track,
-            "engine.fused_fanout",
-            Cycle::ZERO,
-            horizon,
-            t0.elapsed().as_nanos() as u64,
-        );
-    }
+    run_qk(config, &job.heads, true, &Tracer::disabled(), 0)
 }
 
 /// The seed's hash-map-based implementation, kept verbatim as the
@@ -1704,34 +1340,17 @@ mod tests {
         assert_eq!(fast, reference);
     }
 
-    #[test]
-    fn batched_blocks_partition_the_rows() {
-        let trace = AttentionTrace::generate(&pade_workload::trace::TraceConfig {
-            n_queries: 20, // 3 blocks of 8, 8, 4 under the standard config
-            ..pade_workload::trace::TraceConfig::small_demo()
-        });
-        let config = PadeConfig::standard();
-        let keys =
-            BitPlaneMatrix::from_rows(trace.keys().as_slice(), trace.keys().cols(), config.bits)
-                .unwrap();
-        let queries: Vec<&[i8]> =
-            (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-        let blocks = run_qk_blocks(&config, &queries, &keys, trace.logit_scale());
-        assert_eq!(blocks.len(), 3);
-        let rows: usize = blocks.iter().map(|b| b.retained.len()).sum();
-        assert_eq!(rows, 20);
-        // Each block is exactly the standalone block run.
-        for (i, chunk) in queries.chunks(config.pe_rows).enumerate() {
-            let solo = run_qk_block(&config, chunk, &keys, trace.logit_scale());
-            assert_eq!(blocks[i], solo, "block {i}");
-        }
+    /// Sequential and parallel [`run_qk`] over `heads`, asserted equal.
+    fn run_both_ways(config: &PadeConfig, heads: &[QkBatchJob<'_>]) -> Vec<Vec<QkBlockResult>> {
+        let seq = run_qk(config, heads, false, &Tracer::disabled(), 0);
+        assert_eq!(run_qk(config, heads, true, &Tracer::disabled(), 0), seq);
+        seq
     }
 
-    #[cfg(feature = "parallel")]
     #[test]
-    fn parallel_blocks_are_bit_identical_to_sequential() {
+    fn dispatch_blocks_partition_the_rows() {
         let trace = AttentionTrace::generate(&pade_workload::trace::TraceConfig {
-            n_queries: 20,
+            n_queries: 20, // 3 blocks of 8, 8, 4 under the standard config
             seq_len: 512,
             ..pade_workload::trace::TraceConfig::small_demo()
         });
@@ -1741,13 +1360,24 @@ mod tests {
                 .unwrap();
         let queries: Vec<&[i8]> =
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-        let seq = run_qk_blocks(&config, &queries, &keys, trace.logit_scale());
-        let par = run_qk_blocks_par(&config, &queries, &keys, trace.logit_scale());
-        assert_eq!(seq, par);
+        let head = QkBatchJob {
+            queries: queries.clone(),
+            keys: keys.clone().into(),
+            logit_scale: trace.logit_scale(),
+        };
+        let blocks = run_both_ways(&config, &[head]).remove(0);
+        assert_eq!(blocks.len(), 3);
+        let rows: usize = blocks.iter().map(|b| b.retained.len()).sum();
+        assert_eq!(rows, 20);
+        // Each block is exactly the seed oracle's standalone block run.
+        for (i, chunk) in queries.chunks(config.pe_rows).enumerate() {
+            let oracle = run_qk_block_reference(&config, chunk, &keys, trace.logit_scale());
+            assert_eq!(blocks[i], oracle, "block {i}");
+        }
     }
 
     #[test]
-    fn shared_plane_entries_match_borrowed_entries() {
+    fn shared_plane_blocks_match_reference_without_cloning() {
         let trace = small_trace();
         let config = PadeConfig::standard();
         let keys: SharedKeyPlanes = Arc::new(
@@ -1757,27 +1387,22 @@ mod tests {
         let queries: Vec<&[i8]> =
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
         let scale = trace.logit_scale();
-        assert_eq!(
-            run_qk_block_shared(&config, &queries, &keys, scale),
-            run_qk_block(&config, &queries, &keys, scale)
-        );
-        assert_eq!(
-            run_qk_blocks_shared(&config, &queries, &keys, scale),
-            run_qk_blocks(&config, &queries, &keys, scale)
-        );
+        let oracle = run_qk_block_reference(&config, &queries, &keys, scale);
+        assert_eq!(run_qk_block(&config, &queries, &keys, scale), oracle);
+        let head = QkBatchJob { queries, keys: Arc::clone(&keys).into(), logit_scale: scale };
+        assert_eq!(run_both_ways(&config, &[head]), vec![vec![oracle]]);
         // The Arc is genuinely shared, not cloned per call.
         assert_eq!(Arc::strong_count(&keys), 1);
     }
 
     #[test]
-    fn mixed_key_batch_is_bit_identical_to_solo_blocks() {
-        // Two requests with different key tensors batched together must
+    fn mixed_key_dispatch_is_bit_identical_to_solo_blocks() {
+        // Requests with different key tensors dispatched together must
         // each produce exactly the result of running alone — through the
         // optimized engine AND the seed oracle.
         let config = PadeConfig::standard();
-        let traces: Vec<AttentionTrace> = [3u64, 4]
-            .iter()
-            .map(|&seed| {
+        let traces: Vec<AttentionTrace> = (0..4u64)
+            .map(|seed| {
                 AttentionTrace::generate(&TraceConfig {
                     seed,
                     ..pade_workload::trace::TraceConfig::small_demo()
@@ -1802,57 +1427,40 @@ mod tests {
                 logit_scale: t.logit_scale(),
             })
             .collect();
-        let batch = run_qk_batch(&config, &jobs);
-        assert_eq!(batch.len(), 2);
+        let batch = run_both_ways(&config, &jobs);
+        assert_eq!(batch.len(), 4);
         for (i, job) in jobs.iter().enumerate() {
+            assert_eq!(batch[i].len(), 1, "job {i} fits one block");
             let solo = run_qk_block(&config, &job.queries, &keys[i], job.logit_scale);
-            assert_eq!(batch[i], solo, "job {i} diverged from its solo run");
+            assert_eq!(batch[i][0], solo, "job {i} diverged from its solo run");
             let oracle = run_qk_block_reference(&config, &job.queries, &keys[i], job.logit_scale);
-            assert_eq!(batch[i], oracle, "job {i} diverged from the seed oracle");
+            assert_eq!(batch[i][0], oracle, "job {i} diverged from the seed oracle");
         }
-    }
-
-    #[cfg(feature = "parallel")]
-    #[test]
-    fn parallel_batch_matches_sequential_batch() {
-        let config = PadeConfig::standard();
-        let traces: Vec<AttentionTrace> = (0..4u64)
-            .map(|seed| {
-                AttentionTrace::generate(&TraceConfig {
-                    seed,
-                    ..pade_workload::trace::TraceConfig::small_demo()
-                })
-            })
-            .collect();
-        let jobs: Vec<QkBatchJob> = traces
-            .iter()
-            .map(|t| QkBatchJob {
-                queries: (0..t.queries().rows()).map(|i| t.queries().row(i)).collect(),
-                keys: BitPlaneMatrix::from_rows(t.keys().as_slice(), t.keys().cols(), config.bits)
-                    .unwrap()
-                    .into(),
-                logit_scale: t.logit_scale(),
-            })
-            .collect();
-        assert_eq!(run_qk_batch(&config, &jobs), run_qk_batch_par(&config, &jobs));
     }
 
     /// A fused "token step": H heads sharing one set of query rows, each
     /// head with its own key tensor (mixing whole tensors and growable
     /// cache snapshots so both `KeySource` variants flow through the
-    /// fused path).
-    fn fused_fixture(n_heads: usize, n_queries: usize) -> (AttentionTrace, Vec<KeySource>, f32) {
+    /// fused path). Every head's keys are also returned as a whole tensor
+    /// for the seed oracle.
+    fn fused_fixture(
+        n_heads: usize,
+        n_queries: usize,
+    ) -> (AttentionTrace, Vec<KeySource>, Vec<BitPlaneMatrix>, f32) {
         let trace =
             AttentionTrace::generate(&TraceConfig { n_queries, ..TraceConfig::small_demo() });
         let config = PadeConfig::standard();
         let dims = trace.keys().cols();
+        let mut scratch = Vec::new();
         let sources: Vec<KeySource> = (0..n_heads)
             .map(|h| {
                 // Per-head keys: rotate the key rows so heads differ.
                 let mut data = trace.keys().as_slice().to_vec();
                 data.rotate_left(h * dims);
+                let planes = BitPlaneMatrix::from_rows(&data, dims, config.bits).unwrap();
+                scratch.push(planes.clone());
                 if h % 2 == 0 {
-                    BitPlaneMatrix::from_rows(&data, dims, config.bits).unwrap().into()
+                    planes.into()
                 } else {
                     let mut cache =
                         pade_quant::GrowableKeyCache::new(dims, config.bits, 48).unwrap();
@@ -1863,73 +1471,61 @@ mod tests {
                 }
             })
             .collect();
-        (trace, sources, 0.01)
+        (trace, sources, scratch, 0.01)
     }
 
     #[test]
-    fn fused_dispatch_is_byte_identical_to_per_head_loop() {
+    fn fused_dispatch_matches_reference_per_block() {
         let config = PadeConfig::standard();
         // 12 query rows → two engine blocks per head under pe_rows = 8.
-        let (trace, sources, scale) = fused_fixture(3, 12);
+        let (trace, sources, scratch, scale) = fused_fixture(3, 12);
         let queries: Vec<&[i8]> =
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
-        let job = QkFusedJob {
-            heads: sources
-                .iter()
-                .map(|keys| QkBatchJob {
-                    queries: queries.clone(),
-                    keys: keys.clone(),
-                    logit_scale: scale,
-                })
-                .collect(),
-        };
-        let fused = run_qk_fused(&config, &job);
+        let heads: Vec<QkBatchJob> = sources
+            .iter()
+            .map(|keys| QkBatchJob {
+                queries: queries.clone(),
+                keys: keys.clone(),
+                logit_scale: scale,
+            })
+            .collect();
+        let fused = run_both_ways(&config, &heads);
         assert_eq!(fused.len(), sources.len());
-        for (h, keys) in sources.iter().enumerate() {
-            let solo = run_qk_blocks_on(&config, &queries, keys, scale);
-            assert_eq!(fused[h], solo, "head {h} diverged from its per-head loop");
+        for (h, keys) in scratch.iter().enumerate() {
+            let oracle: Vec<QkBlockResult> = queries
+                .chunks(config.pe_rows)
+                .map(|block| run_qk_block_reference(&config, block, keys, scale))
+                .collect();
+            assert_eq!(fused[h], oracle, "head {h} diverged from the seed oracle");
         }
-        #[cfg(feature = "parallel")]
-        assert_eq!(run_qk_fused_par(&config, &job), fused);
     }
 
     #[test]
     fn fused_single_head_decode_step_matches_solo_block() {
         // The decode shape: one query row, several heads, one block each.
         let config = PadeConfig::standard();
-        let (trace, sources, scale) = fused_fixture(4, 1);
+        let (trace, sources, scratch, scale) = fused_fixture(4, 1);
         let row: Vec<&[i8]> = vec![trace.queries().row(0)];
-        let job = QkFusedJob {
-            heads: sources
-                .iter()
-                .map(|keys| QkBatchJob {
-                    queries: row.clone(),
-                    keys: keys.clone(),
-                    logit_scale: scale,
-                })
-                .collect(),
-        };
-        let fused = run_qk_fused(&config, &job);
+        let heads: Vec<QkBatchJob> = sources
+            .iter()
+            .map(|keys| QkBatchJob { queries: row.clone(), keys: keys.clone(), logit_scale: scale })
+            .collect();
+        let fused = run_both_ways(&config, &heads);
         for (h, keys) in sources.iter().enumerate() {
             assert_eq!(fused[h].len(), 1);
-            let solo = run_qk_block_on(&config, &row, keys, scale);
-            assert_eq!(fused[h][0], solo, "head {h}");
-            let oracle = match keys {
-                KeySource::Planes(p) => run_qk_block_reference(&config, &row, p, scale),
-                KeySource::Cache(_) => solo.clone(),
-            };
+            assert_eq!(fused[h][0], run_qk_block(&config, &row, keys, scale), "head {h}");
+            let oracle = run_qk_block_reference(&config, &row, &scratch[h], scale);
             assert_eq!(fused[h][0], oracle, "head {h} vs seed oracle");
         }
-        #[cfg(feature = "parallel")]
-        assert_eq!(run_qk_fused_par(&config, &job), fused);
     }
 
     #[test]
     fn cache_snapshot_runs_bit_identical_to_from_scratch() {
         // Grow a cache token by token (the decode path), snapshot it, and
         // run the engine over the snapshot: outputs must be byte-identical
-        // to a from-scratch decomposition — and to the seed oracle.
-        let trace = small_trace();
+        // to the seed oracle over a from-scratch decomposition.
+        let trace =
+            AttentionTrace::generate(&TraceConfig { n_queries: 12, ..TraceConfig::small_demo() });
         let config = PadeConfig::standard();
         let dims = trace.keys().cols();
         let mut cache = pade_quant::GrowableKeyCache::new(dims, config.bits, 48).unwrap();
@@ -1942,21 +1538,14 @@ mod tests {
         let queries: Vec<&[i8]> =
             (0..trace.queries().rows()).map(|i| trace.queries().row(i)).collect();
         let scale = trace.logit_scale();
-        let cached = run_qk_block_cached(&config, &queries, &snap, scale);
-        assert_eq!(cached, run_qk_block(&config, &queries, &scratch, scale));
-        assert_eq!(cached, run_qk_block_reference(&config, &queries, &scratch, scale));
-        assert_eq!(
-            run_qk_blocks_cached(&config, &queries, &snap, scale),
-            run_qk_blocks(&config, &queries, &scratch, scale)
-        );
+        let oracle: Vec<QkBlockResult> = queries
+            .chunks(config.pe_rows)
+            .map(|block| run_qk_block_reference(&config, block, &scratch, scale))
+            .collect();
+        assert_eq!(run_qk_block(&config, &queries[..config.pe_rows], &snap, scale), oracle[0]);
         // A KeySource wrapping the snapshot reads the same planes.
-        let source = KeySource::from(snap.clone());
-        assert_eq!(run_qk_block_on(&config, &queries, &source, scale), cached);
-        #[cfg(feature = "parallel")]
-        assert_eq!(
-            run_qk_blocks_cached_par(&config, &queries, &snap, scale),
-            run_qk_blocks(&config, &queries, &scratch, scale)
-        );
+        let head = QkBatchJob { queries, keys: KeySource::from(snap), logit_scale: scale };
+        assert_eq!(run_both_ways(&config, &[head]), vec![oracle]);
     }
 
     #[test]

@@ -2,25 +2,66 @@
 //! (`run_qk_block`) must be **bit-identical** to the seed oracle
 //! (`run_qk_block_reference`) over seeded random operands — not just the
 //! workload generator's friendly traces — and a growable cache snapshot
-//! must be indistinguishable from a from-scratch tensor through every
-//! engine entry (solo, batched, heterogeneous batch, and the `parallel`
-//! fan-out when enabled).
+//! must be indistinguishable from a from-scratch tensor through both
+//! engine entries (`run_qk_block` and the `run_qk` dispatch, sequential,
+//! parallel and traced).
 //!
 //! The convention (see README § Testing): the reference kernel stays
-//! verbatim; optimizations live in `run_qk_block`/`run_qk_block_on` and
-//! must keep these properties green.
+//! verbatim; optimizations live in `run_qk_block`/`run_qk` and must keep
+//! these properties green.
 
 use std::sync::Arc;
 
 use pade_core::config::PadeConfig;
 use pade_core::engine::{
-    run_qk_batch, run_qk_block, run_qk_block_cached, run_qk_block_reference, run_qk_blocks,
-    run_qk_blocks_cached, KeySource, QkBatchJob,
+    run_qk, run_qk_block, run_qk_block_reference, KeySource, QkBatchJob, QkBlockResult,
 };
 use pade_mem::KeyLayout;
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache, PlaneSource};
 use pade_testutil::{mix, vec_i8_bits};
+use pade_trace::{Recorder, TraceEvent, TraceSink, TraceSnapshot, Tracer};
 use proptest::prelude::*;
+
+/// The seed oracle over `queries` split into `config.pe_rows`-sized
+/// blocks — what [`run_qk`] must return for one head.
+fn oracle_blocks(
+    config: &PadeConfig,
+    queries: &[&[i8]],
+    keys: &BitPlaneMatrix,
+    scale: f32,
+) -> Vec<QkBlockResult> {
+    queries
+        .chunks(config.pe_rows)
+        .map(|block| run_qk_block_reference(config, block, keys, scale))
+        .collect()
+}
+
+/// A recording tracer and the recorder behind it.
+fn recording() -> (Arc<Recorder>, Tracer) {
+    let recorder = Arc::new(Recorder::new());
+    let tracer = Tracer::new(Arc::clone(&recorder) as Arc<dyn TraceSink>);
+    (recorder, tracer)
+}
+
+/// Every span of `snap` as `(track, name, logical begin, logical end)`,
+/// in snapshot order — the wall-clock annotations left out.
+fn logical_spans(snap: &TraceSnapshot) -> Vec<(u64, &'static str, u64, u64)> {
+    let mut spans = Vec::new();
+    for t in &snap.tracks {
+        let mut open = Vec::new();
+        for e in &t.events {
+            match *e {
+                TraceEvent::Begin { name, clock } => open.push((name, clock)),
+                TraceEvent::End { clock, .. } => {
+                    let (name, begin) = open.pop().expect("end closes a begin");
+                    spans.push((t.track, name, begin.0, clock.0));
+                }
+                _ => {}
+            }
+        }
+    }
+    spans
+}
 
 /// A config whose width/pruning knobs are driven from hash bits so the
 /// differential sweep touches the restructured code paths (BS, OOE,
@@ -141,20 +182,16 @@ proptest! {
         let scale = 1.0 / 64.0;
         // Solo block (first pe_rows-bounded chunk of rows).
         let head = &queries[..queries.len().min(config.pe_rows)];
-        let cached = run_qk_block_cached(&config, head, &snap, scale);
-        prop_assert_eq!(&cached, &run_qk_block(&config, head, &scratch, scale));
-        prop_assert_eq!(&cached, &run_qk_block_reference(&config, head, &scratch, scale));
-        // Batched rows (may span several blocks).
         prop_assert_eq!(
-            run_qk_blocks_cached(&config, &queries, &snap, scale),
-            run_qk_blocks(&config, &queries, &scratch, scale)
+            run_qk_block(&config, head, &snap, scale),
+            run_qk_block_reference(&config, head, &scratch, scale)
         );
-        #[cfg(feature = "parallel")]
-        {
-            prop_assert_eq!(
-                pade_core::engine::run_qk_blocks_cached_par(&config, &queries, &snap, scale),
-                run_qk_blocks(&config, &queries, &scratch, scale)
-            );
+        // All rows in one dispatch (may span several blocks).
+        let oracle = oracle_blocks(&config, &queries, &scratch, scale);
+        let head = [QkBatchJob { queries, keys: KeySource::Cache(snap), logit_scale: scale }];
+        for parallel in [false, true] {
+            let results = run_qk(&config, &head, parallel, &Tracer::disabled(), 0);
+            prop_assert_eq!(&results, &vec![oracle.clone()]);
         }
     }
 
@@ -189,16 +226,11 @@ proptest! {
                 logit_scale: scale,
             },
         ];
-        let results = run_qk_batch(&config, &jobs);
+        let results = run_qk(&config, &jobs, false, &Tracer::disabled(), 0);
         prop_assert_eq!(&results[0], &results[1]);
         let oracle = run_qk_block_reference(&config, &queries, &scratch, scale);
-        prop_assert_eq!(&results[0], &oracle);
-        #[cfg(feature = "parallel")]
-        {
-            let par = pade_core::engine::run_qk_batch_par(&config, &jobs);
-            prop_assert_eq!(&par[0], &results[0]);
-            prop_assert_eq!(&par[1], &results[1]);
-        }
+        prop_assert_eq!(&results[0], &vec![oracle]);
+        prop_assert_eq!(run_qk(&config, &jobs, true, &Tracer::disabled(), 0), results);
     }
 
     /// The traced entry points are the seed path plus a pure side
@@ -221,37 +253,93 @@ proptest! {
             (0..rows).map(|r| vec_i8_bits(dims, seed ^ mix(seed, r), bits)).collect();
         let queries: Vec<&[i8]> = query_data.iter().map(Vec::as_slice).collect();
         let scale = 1.0 / 64.0;
-        let recorder = Arc::new(pade_trace::Recorder::new());
-        let tracer =
-            pade_trace::Tracer::new(Arc::clone(&recorder) as Arc<dyn pade_trace::TraceSink>);
         let track = pade_trace::track::id(pade_trace::track::ENGINE, 7, 0);
-        let head = &queries[..queries.len().min(config.pe_rows)];
-        let traced = pade_core::engine::run_qk_block_on_traced(
-            &config, head, &keys, scale, &tracer, track,
-        );
-        let oracle = run_qk_block_reference(&config, head, &keys, scale);
-        prop_assert_eq!(&traced, &oracle);
-        let inert = pade_core::engine::run_qk_block_on_traced(
-            &config, head, &keys, scale, &pade_trace::Tracer::disabled(), track,
-        );
-        prop_assert_eq!(&inert, &oracle);
-        let snap = recorder.snapshot();
-        prop_assert!(snap.check_well_formed().is_ok());
-        if cfg!(feature = "trace") {
-            prop_assert!(snap.span_count() > 0);
-            prop_assert!(snap.stage_names().contains("engine.qk_block"));
-        } else {
-            prop_assert_eq!(snap.event_count(), 0);
+        let oracle = oracle_blocks(&config, &queries, &keys, scale);
+        let head = [QkBatchJob { queries, keys: keys.into(), logit_scale: scale }];
+        let inert = run_qk(&config, &head, false, &Tracer::disabled(), track);
+        prop_assert_eq!(&inert[0], &oracle);
+        for parallel in [false, true] {
+            let (recorder, tracer) = recording();
+            let traced = run_qk(&config, &head, parallel, &tracer, track);
+            prop_assert_eq!(&traced[0], &oracle);
+            let snap = recorder.snapshot();
+            prop_assert!(snap.check_well_formed().is_ok());
+            if cfg!(feature = "trace") {
+                prop_assert!(snap.span_count() > 0);
+                prop_assert!(snap.stage_names().contains("engine.qk_block"));
+            } else {
+                prop_assert_eq!(snap.event_count(), 0);
+            }
         }
-        #[cfg(feature = "parallel")]
-        {
-            let par = pade_core::engine::run_qk_blocks_par_traced(
-                &config, &queries, &keys, scale, &tracer, track,
-            );
-            prop_assert_eq!(
-                par,
-                pade_core::engine::run_qk_blocks_par(&config, &queries, &keys, scale)
-            );
+    }
+
+    /// The one dispatch call over 1–4 heads that mix whole tensors with
+    /// cache snapshots, carry 1..=2·pe_rows+1 rows each and may share row
+    /// slices: every combination of sequential/parallel and
+    /// recording/disabled tracer returns the per-block seed oracle, and
+    /// the sequential and parallel runs record the same logical spans.
+    #[test]
+    fn dispatch_matches_per_block_oracle_and_traces_alike(
+        bits in prop_oneof![Just(4u32), Just(8)],
+        n_heads in 1usize..5,
+        s in 1usize..40,
+        dims in 1usize..24,
+        knobs in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let config = config_for(bits, knobs);
+        let max_rows = 2 * config.pe_rows + 1;
+        let key_data: Vec<Vec<i8>> =
+            (0..n_heads).map(|h| vec_i8_bits(s * dims, seed ^ mix(seed, 100 + h), bits)).collect();
+        let scratch: Vec<BitPlaneMatrix> =
+            key_data.iter().map(|d| BitPlaneMatrix::from_rows(d, dims, bits).unwrap()).collect();
+        let query_data: Vec<Vec<Vec<i8>>> = (0..n_heads)
+            .map(|h| {
+                let rows = 1 + mix(seed, 200 + h) as usize % max_rows;
+                (0..rows).map(|r| vec_i8_bits(dims, seed ^ mix(!seed, 16 * h + r), bits)).collect()
+            })
+            .collect();
+        let heads: Vec<QkBatchJob> = (0..n_heads)
+            .map(|h| {
+                // Odd heads reuse head 0's row slices when bit h is set
+                // (the multi-layer / grouped-query shape the prepass
+                // deduplicates).
+                let rows = if h % 2 == 1 && knobs >> (20 + h) & 1 != 0 { 0 } else { h };
+                let keys = if knobs >> (16 + h) & 1 != 0 {
+                    let mut cache = GrowableKeyCache::new(dims, bits, 1 + h).unwrap();
+                    cache.append_rows(&key_data[h]).unwrap();
+                    KeySource::Cache(cache.snapshot())
+                } else {
+                    KeySource::Planes(Arc::new(scratch[h].clone()))
+                };
+                QkBatchJob {
+                    queries: query_data[rows].iter().map(Vec::as_slice).collect(),
+                    keys,
+                    logit_scale: 1.0 / 64.0,
+                }
+            })
+            .collect();
+        let oracle: Vec<Vec<QkBlockResult>> = heads
+            .iter()
+            .zip(&scratch)
+            .map(|(head, keys)| oracle_blocks(&config, &head.queries, keys, head.logit_scale))
+            .collect();
+        let track = pade_trace::track::id(pade_trace::track::ENGINE, 3, 0);
+        let mut spans = Vec::new();
+        for parallel in [false, true] {
+            let untraced = run_qk(&config, &heads, parallel, &Tracer::disabled(), track);
+            prop_assert_eq!(&untraced, &oracle);
+            let (recorder, tracer) = recording();
+            prop_assert_eq!(&run_qk(&config, &heads, parallel, &tracer, track), &oracle);
+            let snap = recorder.snapshot();
+            prop_assert!(snap.check_well_formed().is_ok());
+            spans.push(logical_spans(&snap));
+        }
+        prop_assert_eq!(&spans[0], &spans[1]);
+        if cfg!(feature = "trace") {
+            let blocks: usize = oracle.iter().map(Vec::len).sum();
+            let qk_blocks = spans[0].iter().filter(|s| s.1 == "engine.qk_block").count();
+            prop_assert_eq!(qk_blocks, blocks);
         }
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! 1. **admit** every request whose arrival time has passed (FCFS),
 //! 2. **form** a batch — at most one block per active session, capped by
-//!    slots and max-batch-tokens ([`form_batch`]),
-//! 3. **dispatch** the blocks through the engine
-//!    ([`run_qk_batch`]/[`run_qk_batch_par`]); the iteration advances the
+//!    slots and max-batch-tokens
+//!    ([`form_batch`](crate::scheduler::form_batch)),
+//! 3. **dispatch** the blocks through one engine call
+//!    ([`run_qk`](pade_core::engine::run_qk)); the iteration advances the
 //!    clock by the *slowest* block in the batch (lockstep slots),
 //! 4. **retire** finished sessions, recording completion time and
 //!    latency.
@@ -46,17 +47,14 @@ pub struct ServeConfig {
     /// cache (storage granularity only — outputs are byte-identical for
     /// any positive value).
     pub kv_chunk_tokens: usize,
-    /// Dispatch batches across worker threads ([`run_qk_batch_par`])
-    /// instead of a sequential loop. Results are bit-identical either
-    /// way; this only changes host wall-clock.
+    /// Fan each iteration's blocks out across worker threads in one
+    /// [`run_qk`](pade_core::engine::run_qk) call instead of running them
+    /// in a sequential loop. Results are bit-identical either way; this
+    /// only changes host wall-clock.
     pub parallel_dispatch: bool,
-    /// Fuse each iteration's blocks into one multi-head kernel dispatch
-    /// ([`run_qk_fused`](pade_core::engine::run_qk_fused)): one shared
-    /// query-decomposition prepass and — with
-    /// [`parallel_dispatch`](ServeConfig::parallel_dispatch) — one worker
-    /// fan-out per iteration instead of one per block. Results are
-    /// bit-identical with the flag on or off (property-tested); only host
-    /// wall-clock changes.
+    /// Ignored: every iteration already makes one fused
+    /// [`run_qk`](pade_core::engine::run_qk) call. Kept only because the
+    /// `pade-e2e` benchmark reads it.
     pub fused_dispatch: bool,
     /// Budget of the cross-request prefix cache, or `None` to disable
     /// it. Only prompt-carrying requests (shared-prefix / multi-turn

@@ -17,7 +17,7 @@
 //!
 //! Blocks are the scheduling quantum: a prefill request of `R` rows
 //! yields `⌈R / pe_rows⌉` blocks (exactly the chunking of
-//! [`pade_core::engine::run_qk_blocks`]), a decode request of `T` steps
+//! [`pade_core::engine::run_qk`]), a decode request of `T` steps
 //! yields `T` single-row blocks. Because each block simulates its own
 //! HBM/SRAM instances — and because incremental appends decompose tokens
 //! exactly as [`BitPlaneMatrix::from_rows`] does — the session's outputs
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use pade_cache::{CacheLease, KvCacheManager};
 use pade_core::config::PadeConfig;
-use pade_core::engine::{run_qk_batch, KeySource, QkBatchJob, QkBlockResult, SharedKeyPlanes};
+use pade_core::engine::{run_qk_block, KeySource, QkBatchJob, QkBlockResult, SharedKeyPlanes};
 use pade_quant::{BitPlaneMatrix, GrowableKeyCache};
 use pade_sim::Cycle;
 use pade_workload::trace::{AttentionTrace, RequestArrival, RequestKind};
@@ -96,7 +96,7 @@ impl Session {
     ///
     /// `prefill_chunk_tokens` caps the query rows per prefill block
     /// (chunked prefill): `None` chunks by PE-row height exactly as
-    /// [`run_qk_blocks`](pade_core::engine::run_qk_blocks), `Some(c)`
+    /// [`run_qk`](pade_core::engine::run_qk), `Some(c)`
     /// uses `c.clamp(1, pe_rows)` rows per block (the fused dispatcher
     /// requires at most `pe_rows` rows per job). The slices are a
     /// scheduling/timing quantum only: the guard-filter's prune/retain
@@ -127,7 +127,7 @@ impl Session {
         let seq_len = trace.keys().rows();
         let (rows_per_block, blocks_total) = match spec.kind {
             // Prefill chunks by PE-row height (or the configured chunk),
-            // exactly as run_qk_blocks when unset.
+            // exactly as run_qk when unset.
             RequestKind::Prefill { rows } => {
                 let chunk =
                     prefill_chunk_tokens.map_or(config.pe_rows, |c| c.clamp(1, config.pe_rows));
@@ -345,7 +345,7 @@ impl Session {
 
     /// Replaces a chunk-sliced prefill session's per-slice results with
     /// the request run through the engine's **native** `pe_rows` tiling —
-    /// the grouping [`run_qk_blocks`](pade_core::engine::run_qk_blocks)
+    /// the grouping [`run_qk`](pade_core::engine::run_qk)
     /// and the seed oracle use. The guard filter's prune/retain decisions
     /// depend on the order key planes arrive through the block-shared
     /// memory system, so slice-grouped blocks are a timing model only;
@@ -365,16 +365,11 @@ impl Session {
             SessionKeys::Grown(cache) => KeySource::Cache(cache.snapshot()),
             SessionKeys::Detached => unreachable!("results are canonicalized before detach"),
         };
-        self.results = (0..total.div_ceil(pe_rows))
-            .map(|b| {
-                let rows = (b * pe_rows)..((b + 1) * pe_rows).min(total);
-                let job = QkBatchJob {
-                    queries: rows.map(|i| self.trace.queries().row(i)).collect(),
-                    keys: keys.clone(),
-                    logit_scale: self.trace.logit_scale(),
-                };
-                run_qk_batch(&self.config, &[job]).pop().expect("one job in, one result out")
-            })
+        let queries: Vec<&[i8]> = (0..total).map(|i| self.trace.queries().row(i)).collect();
+        let scale = self.trace.logit_scale();
+        self.results = queries
+            .chunks(pe_rows)
+            .map(|block| run_qk_block(&self.config, block, &keys, scale))
             .collect();
     }
 
@@ -499,7 +494,6 @@ pub fn reference_outputs(spec: &RequestArrival, config: &PadeConfig) -> Vec<QkBl
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pade_core::engine::run_qk_batch;
     use pade_quant::PlaneSource;
     use pade_workload::trace::{generate_arrivals, ArrivalConfig};
 
@@ -569,7 +563,7 @@ mod tests {
                 KeySource::Cache(snap) => prefixes.push(snap.tokens()),
                 other => panic!("decode jobs must carry cache snapshots, got {other:?}"),
             }
-            let result = run_qk_batch(&config, &[job]).pop().unwrap();
+            let result = run_qk_block(&config, &job.queries, &job.keys, job.logit_scale);
             session.absorb(result);
         }
         // One more key per step; the final step attends over the full
@@ -591,7 +585,7 @@ mod tests {
         let mut session = Session::admit(&spec, &config, KV_CHUNK, None, Cycle::ZERO, None);
         while !session.is_finished() {
             let job = session.next_job();
-            let result = run_qk_batch(&config, &[job]).pop().unwrap();
+            let result = run_qk_block(&config, &job.queries, &job.keys, job.logit_scale);
             session.absorb(result);
         }
         let oracle = reference_outputs(&spec, &config);

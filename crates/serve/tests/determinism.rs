@@ -91,11 +91,11 @@ proptest! {
         }
     }
 
-    /// The fused multi-head dispatch is a scheduling change only: fused
-    /// on/off × sequential/threaded dispatch all produce byte-identical
-    /// completions in the same order.
+    /// Threaded dispatch is a scheduling change only: the one fused
+    /// engine call per iteration, sequential or threaded, produces
+    /// byte-identical completions in the same order with equal summaries.
     #[test]
-    fn fused_dispatch_outputs_match_per_block_dispatch(
+    fn parallel_dispatch_outputs_match_sequential_dispatch(
         seed in any::<u64>(),
         n in 2usize..5,
         saturated in any::<bool>(),
@@ -104,10 +104,8 @@ proptest! {
         let arrivals = generate_arrivals(&workload(seed, n, gap));
         let base = ServeConfig::standard();
         let combos = [
-            ServeConfig { fused_dispatch: true, parallel_dispatch: true, ..base.clone() },
-            ServeConfig { fused_dispatch: true, parallel_dispatch: false, ..base.clone() },
-            ServeConfig { fused_dispatch: false, parallel_dispatch: true, ..base.clone() },
-            ServeConfig { fused_dispatch: false, parallel_dispatch: false, ..base },
+            ServeConfig { parallel_dispatch: true, ..base.clone() },
+            ServeConfig { parallel_dispatch: false, ..base },
         ];
         let reports: Vec<_> = combos
             .iter()
