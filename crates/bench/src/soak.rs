@@ -34,6 +34,7 @@
 
 use std::collections::HashMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pade_router::{route, route_traced, RoutePolicy, RouterConfig, RouterReport};
@@ -275,13 +276,18 @@ pub fn run_soak(quick: bool) -> SoakResult {
     }
 }
 
-/// A per-process temp path, so parallel test binaries never collide.
+/// A per-call temp path: unique per process, so parallel test binaries
+/// never collide, and per call, so concurrent soaks in one process (the
+/// unit tests) never delete each other's stream.
 fn soak_stream_path() -> PathBuf {
     soak_stream_path_tagged("run")
 }
 
 fn soak_stream_path_tagged(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pade-bench-soak-{tag}-{}.padetrace", std::process::id()))
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let call = NEXT.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir()
+        .join(format!("pade-bench-soak-{tag}-{}-{call}.padetrace", std::process::id()))
 }
 
 /// Serializes a soak run to the `BENCH_<n>.json` trajectory schema.

@@ -1,9 +1,10 @@
 //! Session lifecycle: one admitted request, its operands and its engine
 //! blocks.
 //!
-//! A session is created at admission. **Prefill** requests generate their
-//! synthetic operand trace and decompose the key tensor into bit planes
-//! **once**, held behind [`SharedKeyPlanes`] so every block the scheduler
+//! A session is created at admission, which generates the request's
+//! synthetic queries and keys only: [`AttentionTrace`] draws values on
+//! first read, and no session reads them. **Prefill** requests decompose
+//! the key tensor into bit planes **once**, held behind [`SharedKeyPlanes`] so every block the scheduler
 //! dispatches — and every worker thread running one — borrows the same
 //! immutable plane allocation. **Decode** requests instead run
 //! autoregressive multi-step decode over a growable per-session KV plane
@@ -80,8 +81,8 @@ pub struct Session {
 }
 
 impl Session {
-    /// Admits a request at time `admitted`: generates its operand trace
-    /// and prepares its key planes — the whole context for prefill, the
+    /// Admits a request at time `admitted`: generates its queries and
+    /// keys and prepares its key planes — the whole context for prefill, the
     /// prompt prefix of a growable cache (sealing `kv_chunk_tokens`-token
     /// chunks) for decode.
     ///

@@ -1,7 +1,11 @@
 //! Synthetic attention trace generation.
 //!
 //! A trace holds the quantized Q/K/V operands of one attention head plus
-//! the exact INT8 ground truth derived from them. Score structure is
+//! the exact INT8 ground truth derived from them. Generation draws and
+//! quantizes only the queries and keys; the values come last in the RNG
+//! stream, so they are drawn from the saved generator state the first time
+//! something reads them, byte-identical to an eager draw. Callers that only
+//! score Q·K — the whole serving path — never pay for them. Score structure is
 //! injected through a small set of shared *feature directions* rather than
 //! per-token boosts: sink tokens carry a sink direction, recent tokens a
 //! ramped recency direction, and heavy-tail tokens one of a few retrieval
@@ -10,6 +14,8 @@
 //! giving precise control over how much softmax mass each structure owns —
 //! which is exactly the input property the paper's pruning results depend
 //! on.
+
+use std::sync::OnceLock;
 
 use pade_linalg::{attention, MatF32};
 use pade_quant::{quantize_matrix, quantize_matrix_clipped, QuantizedMatrix};
@@ -69,14 +75,23 @@ impl Default for TraceConfig {
 }
 
 /// One attention head's operands plus exact INT8 ground truth.
+///
+/// Queries and keys are generated with the trace. Values are drawn on
+/// first read — by [`values`](Self::values),
+/// [`values_f32`](Self::values_f32) or a reference output — from the
+/// generator state saved after the queries, and then kept. A clone carries
+/// the values if they were already drawn, and draws the same bytes itself
+/// otherwise.
 #[derive(Debug, Clone)]
 pub struct AttentionTrace {
     config: TraceConfig,
     q: QuantizedMatrix,
     k: QuantizedMatrix,
-    v: QuantizedMatrix,
-    v_f32: MatF32,
     logit_scale: f32,
+    /// Generator state after the queries, where the value draw begins.
+    value_rng: StdRng,
+    /// Quantized and FP32 values, filled on first read.
+    values: OnceLock<(QuantizedMatrix, MatF32)>,
 }
 
 impl AttentionTrace {
@@ -84,7 +99,9 @@ impl AttentionTrace {
     ///
     /// # Panics
     ///
-    /// Panics if `seq_len`, `head_dim` or `n_queries` is zero.
+    /// Panics if `seq_len`, `head_dim` or `n_queries` is zero, if
+    /// `head_dim <= 6` (the sink, recency and four tail feature directions
+    /// need room), or if `bits` is outside `2..=8`.
     #[must_use]
     pub fn generate(config: &TraceConfig) -> Self {
         assert!(config.seq_len > 0 && config.head_dim > 0 && config.n_queries > 0);
@@ -172,25 +189,34 @@ impl AttentionTrace {
             }
         }
 
-        // Values: plain activations.
-        let mut v = MatF32::zeros(s, h);
-        for j in 0..s {
-            for x in v.row_mut(j).iter_mut() {
-                *x = standard_normal(&mut rng) * 0.5;
-            }
-        }
-
-        // Operands are quantized with outlier clipping (3σ / 2.5σ), the
-        // calibration step of any practical INT8 PTQ pipeline; it keeps the
-        // integer scale representative of the bulk data, which is also what
-        // makes bit-serial early termination effective.
+        // Queries and keys are quantized with outlier clipping (3σ / 2.5σ),
+        // the calibration step of any practical INT8 PTQ pipeline; it keeps
+        // the integer scale representative of the bulk data, which is also
+        // what makes bit-serial early termination effective.
         let qq = quantize_matrix_clipped(q.as_slice(), config.n_queries, h, config.bits, 3.0)
             .expect("query quantization");
         let kq = quantize_matrix_clipped(k.as_slice(), s, h, config.bits, 2.5)
             .expect("key quantization");
-        let vq = quantize_matrix(v.as_slice(), s, h, config.bits).expect("value quantization");
         let logit_scale = qq.params().scale() * kq.params().scale();
-        Self { config: *config, q: qq, k: kq, v: vq, v_f32: v, logit_scale }
+        Self { config: *config, q: qq, k: kq, logit_scale, value_rng: rng, values: OnceLock::new() }
+    }
+
+    /// The value operands, drawn on first use from a copy of the saved
+    /// generator state: plain activations, quantized without clipping.
+    fn value_operands(&self) -> &(QuantizedMatrix, MatF32) {
+        self.values.get_or_init(|| {
+            let (s, h) = (self.config.seq_len, self.config.head_dim);
+            let mut rng = self.value_rng.clone();
+            let mut v = MatF32::zeros(s, h);
+            for j in 0..s {
+                for x in v.row_mut(j).iter_mut() {
+                    *x = standard_normal(&mut rng) * 0.5;
+                }
+            }
+            let vq =
+                quantize_matrix(v.as_slice(), s, h, self.config.bits).expect("value quantization");
+            (vq, v)
+        })
     }
 
     /// The generating configuration.
@@ -223,16 +249,17 @@ impl AttentionTrace {
         &self.k.as_slice()[..tokens * self.k.cols()]
     }
 
-    /// Quantized values (`S × H`).
+    /// Quantized values (`S × H`), drawn on the first value read.
     #[must_use]
     pub fn values(&self) -> &QuantizedMatrix {
-        &self.v
+        &self.value_operands().0
     }
 
-    /// The FP32 values used for reference outputs.
+    /// The FP32 values used for reference outputs, drawn on the first
+    /// value read.
     #[must_use]
     pub fn values_f32(&self) -> &MatF32 {
-        &self.v_f32
+        &self.value_operands().1
     }
 
     /// Multiplier mapping an integer Q·K dot product into the logit domain
@@ -267,9 +294,10 @@ impl AttentionTrace {
     pub fn reference_output(&self, i: usize) -> Vec<f32> {
         let logits = self.exact_logits(i);
         let weights = pade_linalg::softmax(&logits);
-        let mut out = vec![0.0f32; self.v_f32.cols()];
+        let v = self.values_f32();
+        let mut out = vec![0.0f32; v.cols()];
         for (j, &w) in weights.iter().enumerate() {
-            for (o, &x) in out.iter_mut().zip(self.v_f32.row(j)) {
+            for (o, &x) in out.iter_mut().zip(v.row(j)) {
                 *o += w * x;
             }
         }
@@ -283,9 +311,10 @@ impl AttentionTrace {
         let logits = self.exact_logits(i);
         let scores: Vec<f32> = retained.iter().map(|&j| logits[j]).collect();
         let weights = pade_linalg::softmax(&scores);
-        let mut out = vec![0.0f32; self.v_f32.cols()];
+        let v = self.values_f32();
+        let mut out = vec![0.0f32; v.cols()];
         for (&j, &w) in retained.iter().zip(&weights) {
-            for (o, &x) in out.iter_mut().zip(self.v_f32.row(j)) {
+            for (o, &x) in out.iter_mut().zip(v.row(j)) {
                 *o += w * x;
             }
         }
@@ -305,7 +334,7 @@ impl AttentionTrace {
     pub fn dense_reference_f32(&self) -> MatF32 {
         let qf = MatF32::from_vec(self.q.dequantize(), self.q.rows(), self.q.cols());
         let kf = MatF32::from_vec(self.k.dequantize(), self.k.rows(), self.k.cols());
-        attention::dense_attention(&qf, &kf, &self.v_f32, 1.0)
+        attention::dense_attention(&qf, &kf, self.values_f32(), 1.0)
     }
 }
 
@@ -601,8 +630,38 @@ mod tests {
         let b = small(3);
         assert_eq!(a.keys().as_slice(), b.keys().as_slice());
         assert_eq!(a.queries().as_slice(), b.queries().as_slice());
+        assert_eq!(a.values().as_slice(), b.values().as_slice());
+        assert_eq!(a.values_f32(), b.values_f32());
         let c = small(4);
         assert_ne!(a.keys().as_slice(), c.keys().as_slice());
+        assert_ne!(a.values().as_slice(), c.values().as_slice());
+    }
+
+    #[test]
+    fn values_do_not_depend_on_when_or_where_they_are_read() {
+        let fresh = small(3);
+        let expected = (fresh.values().clone(), fresh.values_f32().clone());
+        let same = |t: &AttentionTrace| {
+            assert_eq!(t.values(), &expected.0);
+            assert_eq!(t.values_f32(), &expected.1);
+        };
+        // (a) Read before cloning: the clone carries the drawn values.
+        let read = small(3);
+        same(&read);
+        same(&read.clone());
+        // (b) Read only on a clone: the original still draws them itself.
+        let original = small(3);
+        let copy = original.clone();
+        same(&copy);
+        same(&original);
+        // (c) Two threads race for the first read.
+        let shared = small(3);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| same(&shared));
+            }
+        });
+        same(&shared);
     }
 
     #[test]
