@@ -11,7 +11,7 @@ use pade_core::rars::{naive_schedule, rars_schedule};
 use pade_core::vpu::Vpu;
 use pade_linalg::MatF32;
 use pade_mem::{HbmConfig, HbmModel, KeyLayout};
-use pade_quant::{BitPlaneMatrix, TokenPlanes};
+use pade_quant::BitPlaneMatrix;
 use pade_sim::Cycle;
 
 fn keys(n: usize, h: usize) -> Vec<i8> {
@@ -29,7 +29,7 @@ fn bench_bitplane(c: &mut Criterion) {
     }
     let row = keys(1, 64);
     g.bench_function("token_roundtrip_64", |b| {
-        b.iter(|| TokenPlanes::from_values(&row, 8).reconstruct())
+        b.iter(|| BitPlaneMatrix::from_rows(&row, 64, 8).unwrap().token(0).reconstruct())
     });
     g.finish();
 }
@@ -38,7 +38,8 @@ fn bench_bitserial(c: &mut Criterion) {
     let mut g = c.benchmark_group("bitserial_dot");
     g.sample_size(30);
     let q: Vec<i8> = keys(1, 64);
-    let k = TokenPlanes::from_values(&keys(1, 64), 8);
+    let m = BitPlaneMatrix::from_rows(&keys(1, 64), 64, 8).unwrap();
+    let k = m.token(0);
     let qs = q_sum(&q);
     g.bench_function("plane_contribution_bs", |b| {
         b.iter(|| {
@@ -143,7 +144,8 @@ fn bench_qrow_lut(c: &mut Criterion) {
     let mut g = c.benchmark_group("qrow_lut");
     g.sample_size(30);
     let q: Vec<i8> = keys(1, 128);
-    let k = TokenPlanes::from_values(&keys(1, 128), 8);
+    let m = BitPlaneMatrix::from_rows(&keys(1, 128), 128, 8).unwrap();
+    let k = m.token(0);
     let qs = q_sum(&q);
     g.bench_function("oracle_plane_sum_128", |b| {
         b.iter(|| {

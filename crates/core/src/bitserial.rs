@@ -6,7 +6,7 @@
 //! whichever bit value is *rarer*, bounding the number of selected lanes by
 //! 50 % of the vector width and with it the PE load imbalance.
 
-use pade_quant::{and_popcount_words, plane_weight, PlaneRow, TokenPlanes};
+use pade_quant::{and_popcount_words, plane_weight, BitPlaneMatrix, PlaneRow};
 
 /// Which bit value was treated as "sparse" (selected for accumulation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,12 +45,13 @@ pub struct PlaneContribution {
 ///
 /// ```
 /// use pade_core::bitserial::{plane_contribution, BsMode};
-/// use pade_quant::PlaneRow;
+/// use pade_quant::{pack_bits, PlaneRow};
 ///
 /// let q: [i8; 4] = [1, 2, 3, 4];
 /// // A dense plane (three 1s): BS flips to accumulate the single 0.
-/// let plane = PlaneRow::from_bits([true, true, false, true].into_iter());
-/// let c = plane_contribution(&q, &plane, 7, 8, 10, true);
+/// let words = pack_bits([true, true, false, true]);
+/// let plane = PlaneRow::from_words(&words, 4).unwrap();
+/// let c = plane_contribution(&q, plane, 7, 8, 10, true);
 /// assert_eq!(c.mode, BsMode::Zeros);
 /// assert_eq!(c.selected, 1);
 /// assert_eq!(c.value, (1 + 2 + 4) as i64); // w_7 = 1
@@ -58,7 +59,7 @@ pub struct PlaneContribution {
 #[must_use]
 pub fn plane_contribution(
     q: &[i8],
-    plane: &PlaneRow,
+    plane: PlaneRow<'_>,
     r: u32,
     bits: u32,
     q_sum: i64,
@@ -150,7 +151,7 @@ impl QRowLut {
     ///
     /// Panics if the plane's width differs from the query row's.
     #[must_use]
-    pub fn masked_sum(&self, plane: &PlaneRow) -> i32 {
+    pub fn masked_sum(&self, plane: PlaneRow<'_>) -> i32 {
         assert_eq!(plane.len(), self.len, "query length must match plane length");
         let mut acc = 0i32;
         for (w, tables) in plane.words().iter().zip(self.sums.chunks(8 * 256)) {
@@ -204,8 +205,11 @@ impl QRowPlanes {
             }
             width = width.max(w);
         }
-        let token = TokenPlanes::from_values(q, width);
-        let words = (0..width).flat_map(|r| token.plane(r).words().iter().copied()).collect();
+        // A 1-token matrix's slab is already plane-major, MSB first.
+        let words = match BitPlaneMatrix::from_rows(q, q.len(), width) {
+            Ok(planes) => planes.words().to_vec(),
+            Err(_) => Vec::new(), // a zero-width row has no planes
+        };
         let weights = (0..width).map(|r| i64::from(plane_weight(r, width))).collect();
         Self { words, weights, stride: q.len().div_ceil(64), len: q.len() }
     }
@@ -238,7 +242,7 @@ impl QRowPlanes {
     ///
     /// Panics if the plane's width differs from the query row's.
     #[must_use]
-    pub fn masked_sum(&self, plane: &PlaneRow) -> i64 {
+    pub fn masked_sum(&self, plane: PlaneRow<'_>) -> i64 {
         assert_eq!(plane.len(), self.len, "query length must match plane length");
         match plane.words() {
             [] => 0,
@@ -266,7 +270,7 @@ impl QRowPlanes {
 #[must_use]
 pub fn plane_contribution_planes(
     qp: &QRowPlanes,
-    plane: &PlaneRow,
+    plane: PlaneRow<'_>,
     r: u32,
     bits: u32,
     bidirectional: bool,
@@ -293,7 +297,7 @@ pub fn plane_contribution_planes(
 #[must_use]
 pub fn plane_contribution_lut(
     lut: &QRowLut,
-    plane: &PlaneRow,
+    plane: PlaneRow<'_>,
     r: u32,
     bits: u32,
     bidirectional: bool,
@@ -312,15 +316,22 @@ pub fn plane_contribution_lut(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pade_quant::pack_bits;
     use proptest::prelude::*;
+
+    /// One token's decomposition: a 1-token matrix.
+    fn one(values: &[i8], bits: u32) -> BitPlaneMatrix {
+        BitPlaneMatrix::from_rows(values, values.len(), bits).unwrap()
+    }
 
     #[test]
     fn bs_bounds_selection_at_half() {
         let q: Vec<i8> = (0..64).map(|i| (i % 11) as i8 - 5).collect();
         let qs = q_sum(&q);
         for fill in 0..=64usize {
-            let plane = PlaneRow::from_bits((0..64).map(|i| i < fill));
-            let c = plane_contribution(&q, &plane, 3, 8, qs, true);
+            let words = pack_bits((0..64).map(|i| i < fill));
+            let plane = PlaneRow::from_words(&words, 64).unwrap();
+            let c = plane_contribution(&q, plane, 3, 8, qs, true);
             assert!(c.selected <= 32, "fill {fill}: selected {}", c.selected);
         }
     }
@@ -328,11 +339,12 @@ mod tests {
     #[test]
     fn naive_mode_selects_all_ones() {
         let q: Vec<i8> = vec![1; 8];
-        let plane = PlaneRow::from_bits([true; 8]);
-        let c = plane_contribution(&q, &plane, 1, 8, 8, false);
+        let words = pack_bits([true; 8]);
+        let plane = PlaneRow::from_words(&words, 8).unwrap();
+        let c = plane_contribution(&q, plane, 1, 8, 8, false);
         assert_eq!(c.selected, 8);
         assert_eq!(c.mode, BsMode::Ones);
-        let c_bs = plane_contribution(&q, &plane, 1, 8, 8, true);
+        let c_bs = plane_contribution(&q, plane, 1, 8, 8, true);
         assert_eq!(c_bs.selected, 0);
         assert_eq!(c_bs.value, c.value);
     }
@@ -340,8 +352,9 @@ mod tests {
     #[test]
     fn sign_plane_weight_is_negative() {
         let q: [i8; 2] = [3, 3];
-        let plane = PlaneRow::from_bits([true, false]);
-        let c = plane_contribution(&q, &plane, 0, 8, 6, true);
+        let words = pack_bits([true, false]);
+        let plane = PlaneRow::from_words(&words, 2).unwrap();
+        let c = plane_contribution(&q, plane, 0, 8, 6, true);
         assert_eq!(c.value, -128 * 3);
     }
 
@@ -350,8 +363,9 @@ mod tests {
         for len in [1usize, 7, 8, 9, 63, 64, 65, 130] {
             let q: Vec<i8> = (0..len).map(|i| (i as i8).wrapping_mul(37)).collect();
             let lut = QRowLut::new(&q);
-            let plane = PlaneRow::from_bits((0..len).map(|i| i % 3 != 1));
-            assert_eq!(lut.masked_sum(&plane), plane.masked_sum(&q), "len {len}");
+            let words = pack_bits((0..len).map(|i| i % 3 != 1));
+            let plane = PlaneRow::from_words(&words, len).unwrap();
+            assert_eq!(lut.masked_sum(plane), plane.masked_sum(&q), "len {len}");
         }
     }
 
@@ -369,7 +383,8 @@ mod tests {
                     (h >> 17) as u8 as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let m = one(&k, 8);
+            let planes = m.token(0);
             let lut = QRowLut::new(&q);
             let qs = q_sum(&q);
             let oracle = plane_contribution(&q, planes.plane(r), r, 8, qs, bidirectional);
@@ -396,7 +411,8 @@ mod tests {
                     (lo + ((h >> 17) as i32).rem_euclid(hi - lo + 1)) as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, kbits);
+            let m = one(&k, kbits);
+            let planes = m.token(0);
             let lut = QRowLut::new(&q);
             let qp = QRowPlanes::new(&q);
             let qs = q_sum(&q);
@@ -425,7 +441,8 @@ mod tests {
             let k: Vec<i8> = (0..len)
                 .map(|i| (seed.wrapping_mul(i as u64 + 29) >> 31) as u8 as i8)
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let m = one(&k, 8);
+            let planes = m.token(0);
             let qp = QRowPlanes::new(&q);
             let lut = QRowLut::new(&q);
             for r in 0..8u32 {
@@ -443,7 +460,8 @@ mod tests {
             // than 4 planes.
             let qp = QRowPlanes::new(&q);
             prop_assert!(qp.planes() <= 4, "trimmed width {} for 4-bit data", qp.planes());
-            let planes = TokenPlanes::from_values(&vec![1i8; q.len()], 2);
+            let m = one(&vec![1i8; q.len()], 2);
+            let planes = m.token(0);
             prop_assert_eq!(qp.masked_sum(planes.plane(1)), q_sum(&q));
         }
 
@@ -459,7 +477,8 @@ mod tests {
                     (h >> 17) as u8 as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let m = one(&k, 8);
+            let planes = m.token(0);
             let qs = q_sum(&q);
             let direct = plane_contribution(&q, planes.plane(r), r, 8, qs, false);
             let bs = plane_contribution(&q, planes.plane(r), r, 8, qs, true);
@@ -481,7 +500,8 @@ mod tests {
                     (h >> 40) as u8 as i8
                 })
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let m = one(&k, 8);
+            let planes = m.token(0);
             let qs = q_sum(&q);
             let total: i64 = (0..8u32)
                 .map(|r| plane_contribution(&q, planes.plane(r), r, 8, qs, true).value)

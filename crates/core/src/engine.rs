@@ -102,7 +102,7 @@ struct LaneState<'k> {
 /// capacity, so the entry needs no lookup by token.
 #[derive(Debug, Clone, Copy)]
 struct PlaneJob<'k> {
-    planes: &'k TokenPlanes,
+    planes: TokenPlanes<'k>,
     token: usize,
     plane: u32,
     slot: usize,
@@ -571,7 +571,7 @@ impl PlaneSource for KeySource {
             KeySource::Cache(c) => c.bits(),
         }
     }
-    fn token(&self, j: usize) -> &pade_quant::TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         match self {
             KeySource::Planes(p) => PlaneSource::token(p, j),
             KeySource::Cache(c) => c.token(j),

@@ -59,7 +59,7 @@ impl Gsat {
     /// The slice may be narrower than the GSAT (tail sub-vector); missing
     /// positions count as unselected.
     #[must_use]
-    pub fn subgroup_selected(&self, plane: &PlaneRow, mode: BsMode, pass: usize) -> Vec<u32> {
+    pub fn subgroup_selected(&self, plane: PlaneRow<'_>, mode: BsMode, pass: usize) -> Vec<u32> {
         let groups = self.width / self.subgroup;
         let mut counts = vec![0u32; groups];
         let base = pass * self.width;
@@ -87,7 +87,7 @@ impl Gsat {
     /// dominates (`⌈selected / muxes⌉`, minimum 1 — even an all-skip pass
     /// costs the pipeline beat that recognises it); passes serialize.
     #[must_use]
-    pub fn plane_cycles(&self, plane: &PlaneRow, mode: BsMode) -> u64 {
+    pub fn plane_cycles(&self, plane: PlaneRow<'_>, mode: BsMode) -> u64 {
         let muxes = self.muxes_per_subgroup() as u32;
         (0..self.passes(plane.len()))
             .map(|pass| {
@@ -104,7 +104,7 @@ impl Gsat {
     /// Ideal (perfectly balanced) cycles for the same plane: total selected
     /// bits spread evenly over every mux.
     #[must_use]
-    pub fn balanced_cycles(&self, plane: &PlaneRow, mode: BsMode) -> u64 {
+    pub fn balanced_cycles(&self, plane: PlaneRow<'_>, mode: BsMode) -> u64 {
         let total_muxes = (self.muxes_per_subgroup() * (self.width / self.subgroup)) as u64;
         let selected: u64 = (0..self.passes(plane.len()))
             .map(|pass| {
@@ -117,7 +117,7 @@ impl Gsat {
     /// Intra-lane imbalance of one plane in cycles: actual minus perfectly
     /// balanced (the intra-PE stall source of Fig. 23(a)).
     #[must_use]
-    pub fn plane_imbalance(&self, plane: &PlaneRow, mode: BsMode) -> u64 {
+    pub fn plane_imbalance(&self, plane: PlaneRow<'_>, mode: BsMode) -> u64 {
         self.plane_cycles(plane, mode).saturating_sub(self.balanced_cycles(plane, mode))
     }
 }
@@ -129,7 +129,7 @@ impl Gsat {
     /// four sliding 5:1 muxes always absorb a sub-group in one cycle — at
     /// the price of one subtractor and local q-sum per sub-group (§V-D).
     #[must_use]
-    pub fn bs_subgroup_selected(&self, plane: &PlaneRow, pass: usize) -> Vec<u32> {
+    pub fn bs_subgroup_selected(&self, plane: PlaneRow<'_>, pass: usize) -> Vec<u32> {
         let ones = self.subgroup_selected(plane, BsMode::Ones, pass);
         let base = pass * self.width;
         let groups = self.width / self.subgroup;
@@ -145,7 +145,7 @@ impl Gsat {
 
     /// Total selected bits over all passes under per-sub-group BS.
     #[must_use]
-    pub fn bs_selected_total(&self, plane: &PlaneRow) -> u32 {
+    pub fn bs_selected_total(&self, plane: PlaneRow<'_>) -> u32 {
         (0..self.passes(plane.len()))
             .map(|pass| self.bs_subgroup_selected(plane, pass).iter().sum::<u32>())
             .sum()
@@ -155,7 +155,7 @@ impl Gsat {
     /// holds ≤ subgroup/2 selections, matching the mux count — one cycle
     /// per pass, always.
     #[must_use]
-    pub fn bs_plane_cycles(&self, plane: &PlaneRow) -> u64 {
+    pub fn bs_plane_cycles(&self, plane: PlaneRow<'_>) -> u64 {
         let muxes = self.muxes_per_subgroup() as u32;
         (0..self.passes(plane.len()))
             .map(|pass| {
@@ -195,7 +195,7 @@ impl Gsat {
     /// only when it holds more selections than muxes. Values are identical
     /// to the naive methods — property-tested in this module.
     #[must_use]
-    pub fn absorb_stats(&self, plane: &PlaneRow, enable_bs: bool) -> PlaneAbsorb {
+    pub fn absorb_stats(&self, plane: PlaneRow<'_>, enable_bs: bool) -> PlaneAbsorb {
         let len = plane.len();
         // Most planes fit one pass; the divisions below are skipped on
         // their common outcomes.
@@ -241,7 +241,7 @@ impl Gsat {
     /// bits past the plane's length are clear, so they count nothing.
     /// Sub-groups wider than a word take the range count.
     #[inline]
-    fn subgroup_ones(&self, plane: &PlaneRow, lo: usize) -> u32 {
+    fn subgroup_ones(&self, plane: PlaneRow<'_>, lo: usize) -> u32 {
         let s = self.subgroup;
         if s > 64 {
             return plane.count_ones_in_range(lo, lo + s);
@@ -272,15 +272,22 @@ impl Default for Gsat {
 mod tests {
     use super::*;
 
-    fn plane(bits: &[bool]) -> PlaneRow {
-        PlaneRow::from_bits(bits.iter().copied())
+    /// Packed words and length of a plane with the given bits.
+    fn plane(bits: &[bool]) -> (Vec<u64>, usize) {
+        (pade_quant::pack_bits(bits.iter().copied()), bits.len())
+    }
+
+    /// The plane view of [`plane`]'s output.
+    fn view((words, len): &(Vec<u64>, usize)) -> PlaneRow<'_> {
+        PlaneRow::from_words(words, *len).unwrap()
     }
 
     #[test]
     fn empty_plane_costs_one_cycle() {
         let g = Gsat::default();
         let p = plane(&[false; 64]);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 1);
+        let p = view(&p);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 1);
     }
 
     #[test]
@@ -290,16 +297,18 @@ mod tests {
         let g = Gsat::default();
         let bits: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
         let p = plane(&bits);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 1);
+        let p = view(&p);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 1);
     }
 
     #[test]
     fn dense_plane_without_bs_takes_two_cycles() {
         let g = Gsat::default();
         let p = plane(&[true; 64]);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
+        let p = view(&p);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
         // BS would flip to zeros: nothing selected, 1 cycle.
-        assert_eq!(g.plane_cycles(&p, BsMode::Zeros), 1);
+        assert_eq!(g.plane_cycles(p, BsMode::Zeros), 1);
     }
 
     #[test]
@@ -308,8 +317,9 @@ mod tests {
         // First sub-group full (8 selected → 2 cycles), rest empty.
         let bits: Vec<bool> = (0..64).map(|i| i < 8).collect();
         let p = plane(&bits);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
-        assert!(g.plane_imbalance(&p, BsMode::Ones) > 0);
+        let p = view(&p);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
+        assert!(g.plane_imbalance(p, BsMode::Ones) > 0);
     }
 
     #[test]
@@ -317,14 +327,16 @@ mod tests {
         let g = Gsat::default();
         let bits: Vec<bool> = (0..64).map(|i| i % 8 < 4).collect();
         let p = plane(&bits);
-        assert_eq!(g.plane_imbalance(&p, BsMode::Ones), 0);
+        let p = view(&p);
+        assert_eq!(g.plane_imbalance(p, BsMode::Ones), 0);
     }
 
     #[test]
     fn narrow_plane_is_padded_with_unselected() {
         let g = Gsat::default();
         let p = plane(&[true; 16]); // only two sub-groups occupied
-        let counts = g.subgroup_selected(&p, BsMode::Ones, 0);
+        let p = view(&p);
+        let counts = g.subgroup_selected(p, BsMode::Ones, 0);
         assert_eq!(counts[0], 8);
         assert_eq!(counts[1], 8);
         assert!(counts[2..].iter().all(|&c| c == 0));
@@ -339,10 +351,12 @@ mod tests {
         // 128-dim plane, alternating bits: each pass is 1 cycle → 2 total.
         let bits: Vec<bool> = (0..128).map(|i| i % 2 == 0).collect();
         let p = plane(&bits);
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
+        let p = view(&p);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
         // Dense 128-dim plane without BS: 2 cycles per pass → 4 total.
         let p_dense = plane(&[true; 128]);
-        assert_eq!(g.plane_cycles(&p_dense, BsMode::Ones), 4);
+        let p_dense = view(&p_dense);
+        assert_eq!(g.plane_cycles(p_dense, BsMode::Ones), 4);
     }
 
     #[test]
@@ -357,11 +371,12 @@ mod tests {
         // Adversarial plane: one sub-group all ones, one all zeros, rest mixed.
         let bits: Vec<bool> = (0..64).map(|i| i < 8 || (i >= 16 && i % 3 == 0)).collect();
         let p = plane(&bits);
-        assert_eq!(g.bs_plane_cycles(&p), 1);
+        let p = view(&p);
+        assert_eq!(g.bs_plane_cycles(p), 1);
         // Global-mode BS would take 2 cycles on the dense sub-group.
-        assert_eq!(g.plane_cycles(&p, BsMode::Ones), 2);
+        assert_eq!(g.plane_cycles(p, BsMode::Ones), 2);
         // Selection bounded at half per sub-group.
-        for sel in g.bs_subgroup_selected(&p, 0) {
+        for sel in g.bs_subgroup_selected(p, 0) {
             assert!(sel <= 4);
         }
     }
@@ -383,13 +398,17 @@ mod tests {
                     // density 1: all ones; 2: coin flips; 8: sparse ones.
                     let bits: Vec<bool> =
                         (0..len).map(|_| (0u32..density).sample(&mut rng) == 0).collect();
-                    check_absorb_stats(&g, &plane(&bits), &format!("{width}/{subgroup} len {len}"));
+                    check_absorb_stats(
+                        &g,
+                        view(&plane(&bits)),
+                        &format!("{width}/{subgroup} len {len}"),
+                    );
                 }
             }
         }
     }
 
-    fn check_absorb_stats(g: &Gsat, p: &PlaneRow, case: &str) {
+    fn check_absorb_stats(g: &Gsat, p: PlaneRow<'_>, case: &str) {
         let bs = g.absorb_stats(p, true);
         assert_eq!(bs.cycles, g.bs_plane_cycles(p), "{case}");
         assert_eq!(bs.selected, g.bs_selected_total(p), "{case}");
@@ -404,10 +423,12 @@ mod tests {
     fn per_subgroup_bs_handles_wide_and_narrow_planes() {
         let g = Gsat::default();
         let p = plane(&[true; 128]);
-        assert_eq!(g.bs_plane_cycles(&p), 2); // two passes, 1 cycle each
-        assert_eq!(g.bs_selected_total(&p), 0); // all-ones flips to zeros
+        let p = view(&p);
+        assert_eq!(g.bs_plane_cycles(p), 2); // two passes, 1 cycle each
+        assert_eq!(g.bs_selected_total(p), 0); // all-ones flips to zeros
         let narrow = plane(&[true, false, true]);
-        assert_eq!(g.bs_plane_cycles(&narrow), 1);
-        assert_eq!(g.bs_selected_total(&narrow), 1);
+        let narrow = view(&narrow);
+        assert_eq!(g.bs_plane_cycles(narrow), 1);
+        assert_eq!(g.bs_selected_total(narrow), 1);
     }
 }

@@ -60,61 +60,62 @@ pub fn uncertainty_span(r: u32, bits: u32) -> i32 {
     (1i32 << (bits - 1 - r)) - 1
 }
 
+/// Packs a boolean-per-dimension sequence into 64-bit words: bit `i` is
+/// bit `i % 64` of word `i / 64`, and padding bits past the sequence stay
+/// clear. The result is what [`PlaneRow::from_words`] views as a plane of
+/// the sequence's length.
+///
+/// # Example
+///
+/// ```
+/// use pade_quant::{pack_bits, PlaneRow};
+///
+/// let words = pack_bits([true, false, true]);
+/// assert_eq!(words, vec![0b101]);
+/// let plane = PlaneRow::from_words(&words, 3).unwrap();
+/// assert_eq!(plane.count_ones(), 2);
+/// ```
+pub fn pack_bits<I: IntoIterator<Item = bool>>(bits: I) -> Vec<u64> {
+    let mut words = Vec::new();
+    for (i, b) in bits.into_iter().enumerate() {
+        if i % 64 == 0 {
+            words.push(0);
+        }
+        if b {
+            words[i / 64] |= 1 << (i % 64);
+        }
+    }
+    words
+}
+
 /// One bit plane of one token vector: a packed bitvector over the hidden
-/// dimension.
+/// dimension, viewed in place inside a [`BitPlaneMatrix`]'s word slab.
 ///
 /// Bit `i` is set when dimension `i` of the token has a `1` in this plane.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PlaneRow {
-    words: Vec<u64>,
+/// A view is `Copy`; its words borrow the matrix that owns them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PlaneRow<'a> {
+    words: &'a [u64],
     len: usize,
-    /// Population count of `words`, cached at construction so mode choices
-    /// (ones vs. zeros streaming) and popcount kernels never re-scan the
-    /// packed words. Derived from `words`, so the derived `PartialEq` stays
-    /// consistent.
+    /// Population count of `words`, cached by the owning matrix so mode
+    /// choices (ones vs. zeros streaming) and popcount kernels never
+    /// re-scan the packed words. Derived from `words`, so the derived
+    /// `PartialEq` stays consistent.
     ones: u32,
 }
 
-impl PlaneRow {
-    /// Builds a plane row from a boolean-per-dimension iterator.
-    pub fn from_bits<I: IntoIterator<Item = bool>>(bits: I) -> Self {
-        let mut words = Vec::new();
-        let mut len = 0usize;
-        let mut current = 0u64;
-        let mut ones = 0u32;
-        for (i, b) in bits.into_iter().enumerate() {
-            let slot = i % 64;
-            if slot == 0 && i != 0 {
-                words.push(current);
-                ones += current.count_ones();
-                current = 0;
-            }
-            if b {
-                current |= 1 << slot;
-            }
-            len = i + 1;
-        }
-        if len > 0 {
-            words.push(current);
-            ones += current.count_ones();
-        }
-        let row = Self { words, len, ones };
-        row.debug_assert_tail_clear();
-        row
-    }
-
-    /// Builds a plane row directly from packed 64-bit words — the inverse
-    /// of [`PlaneRow::words`], used by the spill tier to re-adopt a
-    /// serialized plane without re-decomposing any values. The cached
-    /// `ones` count is recomputed from the words, so a round trip through
-    /// `words()` → `from_words` is `==`-identical to the original row.
+impl<'a> PlaneRow<'a> {
+    /// Views packed 64-bit words as a plane of `len` dimensions — the
+    /// inverse of [`PlaneRow::words`]. The ones count is computed from the
+    /// words, so a round trip through `words()` → `from_words` is
+    /// `==`-identical to the original row.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::DimensionMismatch`] when the word count is
     /// not exactly `⌈len / 64⌉` or a padding bit past `len` is set (tail
     /// garbage would corrupt word-level popcount kernels).
-    pub fn from_words(words: Vec<u64>, len: usize) -> Result<Self, QuantError> {
+    pub fn from_words(words: &'a [u64], len: usize) -> Result<Self, QuantError> {
         if words.len() != len.div_ceil(64) {
             return Err(QuantError::DimensionMismatch {
                 expected: len.div_ceil(64),
@@ -129,30 +130,12 @@ impl PlaneRow {
         Ok(row)
     }
 
-    /// Asserts (debug builds only) that every padding bit past `len` in the
-    /// last packed word is zero. `popcount(q & k)` kernels rely on this:
-    /// tail garbage would silently corrupt word-level AND+popcount results
-    /// even though per-bit accessors mask it out.
-    #[inline]
-    fn debug_assert_tail_clear(&self) {
-        debug_assert!(
-            self.tail_is_clear(),
-            "PlaneRow tail word has garbage bits past len={}",
-            self.len
-        );
-    }
-
     /// `true` when all padding bits beyond [`PlaneRow::len`] are zero — the
     /// invariant word-level popcount kernels depend on. Always `true` for
-    /// rows built via [`PlaneRow::from_bits`]; exposed so tests can pin it.
+    /// planes of a [`BitPlaneMatrix`]; exposed so tests can pin it.
     #[must_use]
     pub fn tail_is_clear(&self) -> bool {
-        let tail = self.len % 64;
-        if tail == 0 || self.words.is_empty() {
-            return true;
-        }
-        let last = self.words[self.words.len() - 1];
-        last & !((1u64 << tail) - 1) == 0
+        tail_is_clear(self.words, self.len)
     }
 
     /// Number of dimensions covered by this plane.
@@ -192,8 +175,9 @@ impl PlaneRow {
     }
 
     /// Iterates over the indices of set bits.
-    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.len).filter(move |&i| self.bit(i))
+    pub fn iter_ones(&self) -> impl Iterator<Item = usize> + 'a {
+        let row = *self;
+        (0..row.len).filter(move |&i| row.bit(i))
     }
 
     /// Dot product of this plane against a query row: `Σ_{bit_i=1} q_i`
@@ -228,14 +212,14 @@ impl PlaneRow {
     /// zero). Exposed so hot kernels can use word-level popcounts and
     /// table lookups instead of per-bit [`PlaneRow::bit`] calls.
     #[must_use]
-    pub fn words(&self) -> &[u64] {
-        &self.words
+    pub fn words(&self) -> &'a [u64] {
+        self.words
     }
 
-    /// Heap bytes held by the packed words backing this plane.
+    /// Bytes of packed words backing this plane.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.words.len() * std::mem::size_of::<u64>()
+        std::mem::size_of_val(self.words)
     }
 
     /// Number of set bits within positions `[start, end)` (clipped to the
@@ -258,6 +242,14 @@ impl PlaneRow {
             pos += take;
         }
         count
+    }
+}
+
+/// `true` when no bit past `len` is set in the last of `words`.
+fn tail_is_clear(words: &[u64], len: usize) -> bool {
+    match (len % 64, words.last()) {
+        (0, _) | (_, None) => true,
+        (tail, Some(last)) => last & !((1u64 << tail) - 1) == 0,
     }
 }
 
@@ -298,10 +290,10 @@ pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u32 {
     acc[0] + acc[1] + acc[2] + acc[3] + tail
 }
 
-/// Packs `values` into `bits` MSB-first planes of `⌈n/64⌉` words each:
-/// bit `i % 64` of word `i / 64` of plane `r` is bit `bits − 1 − r` of
-/// value `i`'s two's-complement pattern. Padding bits past `values.len()`
-/// stay clear.
+/// Packs `values` into `bits` MSB-first planes of `⌈n/64⌉` words each,
+/// written plane-major into `out` (which must be zeroed): bit `i % 64` of
+/// word `i / 64` of plane `r` is bit `bits − 1 − r` of value `i`'s
+/// two's-complement pattern. Padding bits past `values.len()` stay clear.
 ///
 /// Eight values are transposed at a time: their bytes load as one `u64`,
 /// `(x >> k) & 0x0101…01` keeps bit `k` of every byte, and multiplying by
@@ -309,10 +301,10 @@ pub fn and_popcount_words(a: &[u64], b: &[u64]) -> u32 {
 /// (every partial product lands on its own bit, so nothing carries).
 /// Values must already fit `bits` bits, so bits `k < bits` of the `i8`
 /// pattern are exactly the two's-complement bits.
-fn pack_plane_words(values: &[i8], bits: u32) -> Vec<Vec<u64>> {
+fn pack_plane_words(values: &[i8], bits: u32, out: &mut [u64]) {
     const LOW_BITS: u64 = 0x0101_0101_0101_0101;
     const GATHER: u64 = 0x0102_0408_1020_4080;
-    let mut planes = vec![vec![0u64; values.len().div_ceil(64)]; bits as usize];
+    let stride = values.len().div_ceil(64);
     for (g, group) in values.chunks(8).enumerate() {
         let mut bytes = [0u8; 8];
         for (b, &v) in bytes.iter_mut().zip(group) {
@@ -320,110 +312,42 @@ fn pack_plane_words(values: &[i8], bits: u32) -> Vec<Vec<u64>> {
         }
         let x = u64::from_le_bytes(bytes);
         let (word, shift) = (g / 8, (g % 8) * 8);
-        for (k, plane) in (0..bits).rev().zip(&mut planes) {
+        for (k, plane) in (0..bits).rev().zip(out.chunks_exact_mut(stride)) {
             let gathered = ((x >> k) & LOW_BITS).wrapping_mul(GATHER) >> 56;
             plane[word] |= gathered << shift;
         }
     }
-    planes
 }
 
-/// All bit planes of one token vector, MSB first.
+/// All bit planes of one token vector, MSB first: a `Copy` view into a
+/// [`BitPlaneMatrix`]'s word slab.
 ///
 /// # Example
 ///
 /// ```
-/// use pade_quant::TokenPlanes;
+/// use pade_quant::BitPlaneMatrix;
 ///
-/// let planes = TokenPlanes::from_values(&[5, -5], 8);
+/// let m = BitPlaneMatrix::from_rows(&[5, -5], 2, 8).unwrap();
+/// let planes = m.token(0);
 /// assert_eq!(planes.reconstruct(), vec![5, -5]);
 /// // Sign plane of -5 is set, of +5 is clear.
 /// assert!(!planes.plane(0).bit(0));
 /// assert!(planes.plane(0).bit(1));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TokenPlanes {
-    planes: Vec<PlaneRow>,
-    bits: u32,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TokenPlanes<'a> {
+    /// `bits` planes of `⌈dims/64⌉` words each, MSB first.
+    words: &'a [u64],
+    /// Ones count of each plane.
+    ones: &'a [u32],
     dims: usize,
 }
 
-impl TokenPlanes {
-    /// Decomposes a token vector into `bits` MSB-first planes.
-    ///
-    /// Values are interpreted in `bits`-wide two's complement; they must fit
-    /// (this holds by construction for codes produced by
-    /// [`QuantParams`](crate::QuantParams) of the same width).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits` is outside `2..=8` or a value does not fit in `bits`
-    /// two's-complement bits.
-    #[must_use]
-    pub fn from_values(values: &[i8], bits: u32) -> Self {
-        Self::try_from_values(values, bits).expect("values must fit the requested width")
-    }
-
-    /// Fallible variant of [`TokenPlanes::from_values`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
-    /// (values outside the width's range still panic, as that is a caller
-    /// contract violation rather than a data-dependent condition).
-    pub fn try_from_values(values: &[i8], bits: u32) -> Result<Self, QuantError> {
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
-        let lo = -(1i32 << (bits - 1));
-        let hi = (1i32 << (bits - 1)) - 1;
-        for &v in values {
-            assert!(
-                (lo..=hi).contains(&i32::from(v)),
-                "value {v} does not fit in {bits}-bit two's complement"
-            );
-        }
-        let planes = pack_plane_words(values, bits)
-            .into_iter()
-            .map(|words| {
-                let ones = words.iter().map(|w| w.count_ones()).sum();
-                let row = PlaneRow { words, len: values.len(), ones };
-                row.debug_assert_tail_clear();
-                row
-            })
-            .collect();
-        Ok(Self { planes, bits, dims: values.len() })
-    }
-
-    /// Reassembles a token from its already-built plane rows, MSB first —
-    /// the inverse of reading [`TokenPlanes::plane`] for each round, used
-    /// by the spill tier to re-adopt serialized planes without
-    /// re-decomposing values. Width is `planes.len()`; dims come from the
-    /// first plane.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnsupportedWidth`] when the plane count is
-    /// outside `2..=8` and [`QuantError::DimensionMismatch`] when the
-    /// planes cover differing numbers of dimensions.
-    pub fn from_planes(planes: Vec<PlaneRow>) -> Result<Self, QuantError> {
-        let bits = planes.len() as u32;
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
-        let dims = planes[0].len();
-        for p in &planes {
-            if p.len() != dims {
-                return Err(QuantError::DimensionMismatch { expected: dims, actual: p.len() });
-            }
-        }
-        Ok(Self { planes, bits, dims })
-    }
-
+impl<'a> TokenPlanes<'a> {
     /// Bit width of the decomposed values.
     #[must_use]
     pub fn bits(&self) -> u32 {
-        self.bits
+        self.ones.len() as u32
     }
 
     /// Number of hidden dimensions.
@@ -432,21 +356,26 @@ impl TokenPlanes {
         self.dims
     }
 
-    /// Borrow plane `r` (0 = sign plane).
+    /// Plane `r` (0 = sign plane).
     ///
     /// # Panics
     ///
     /// Panics if `r >= self.bits()`.
     #[must_use]
-    pub fn plane(&self, r: u32) -> &PlaneRow {
-        &self.planes[r as usize]
+    pub fn plane(&self, r: u32) -> PlaneRow<'a> {
+        let (r, stride) = (r as usize, self.dims.div_ceil(64));
+        PlaneRow {
+            words: &self.words[r * stride..(r + 1) * stride],
+            len: self.dims,
+            ones: self.ones[r],
+        }
     }
 
-    /// Heap bytes held by this token's packed plane words — the unit the
+    /// Bytes of packed plane words held for this token — the unit the
     /// serving-side cache budget bills per token.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.planes.iter().map(PlaneRow::resident_bytes).sum()
+        std::mem::size_of_val(self.words)
     }
 
     /// Reassembles the original integers from the planes — the identity of
@@ -454,10 +383,9 @@ impl TokenPlanes {
     #[must_use]
     pub fn reconstruct(&self) -> Vec<i32> {
         let mut out = vec![0i32; self.dims];
-        for r in 0..self.bits {
-            let w = plane_weight(r, self.bits);
-            let plane = &self.planes[r as usize];
-            for i in plane.iter_ones() {
+        for r in 0..self.bits() {
+            let w = plane_weight(r, self.bits());
+            for i in self.plane(r).iter_ones() {
                 out[i] += w;
             }
         }
@@ -467,63 +395,97 @@ impl TokenPlanes {
 
 /// Bit planes for a whole key matrix (`tokens × dims`), MSB first.
 ///
-/// This is the DRAM-resident form of the key tensor in PADE: plane `r` of
-/// token `j` is an independently addressable memory object (the paper's
-/// bit-plane-interleaved layout, Fig. 22).
+/// This is the decomposed form of the key tensor in PADE. Where planes
+/// live in DRAM, and so what one plane fetch costs, is modeled by
+/// `pade_mem::KeyLayout` (the paper's bit-plane-interleaved layout,
+/// Fig. 22); on the host the matrix keeps every plane in one contiguous
+/// word slab, token-major then plane-major (MSB first), `⌈dims/64⌉` words
+/// per plane, with a parallel array of per-plane ones counts.
+/// [`BitPlaneMatrix::token`] and [`TokenPlanes::plane`] return `Copy`
+/// views into that slab, so decomposing a matrix allocates per matrix,
+/// never per token or plane.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitPlaneMatrix {
-    tokens: Vec<TokenPlanes>,
+    /// Token-major, then plane-major packed words.
+    words: Vec<u64>,
+    /// Ones count of every plane, in slab order.
+    ones: Vec<u32>,
     bits: u32,
     dims: usize,
 }
 
 impl BitPlaneMatrix {
-    /// Decomposes every row of a row-major integer matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
-    /// multiple of `dims`, or [`QuantError::UnsupportedWidth`] for a bad width.
-    pub fn from_rows(data: &[i8], dims: usize, bits: u32) -> Result<Self, QuantError> {
-        if dims == 0 || !data.len().is_multiple_of(dims) {
-            return Err(QuantError::DimensionMismatch {
-                expected: dims.max(1),
-                actual: data.len(),
-            });
-        }
-        let tokens = data
-            .chunks(dims)
-            .map(|row| TokenPlanes::try_from_values(row, bits))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { tokens, bits, dims })
+    /// An empty matrix of the given shape (not validated).
+    pub(crate) fn empty(dims: usize, bits: u32) -> Self {
+        Self { words: Vec::new(), ones: Vec::new(), bits, dims }
     }
 
-    /// Builds a matrix from already-decomposed token planes — the sealing
-    /// step of a [`GrowableKeyCache`](crate::GrowableKeyCache) chunk, and
-    /// the cheap path for callers that already hold [`TokenPlanes`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
-    /// and [`QuantError::DimensionMismatch`] when any token's shape differs
-    /// from `dims`/`bits`.
-    pub fn from_tokens(
-        tokens: Vec<TokenPlanes>,
-        dims: usize,
-        bits: u32,
-    ) -> Result<Self, QuantError> {
+    /// Rejects widths outside `2..=8` and `dims == 0`.
+    pub(crate) fn check_shape(dims: usize, bits: u32) -> Result<(), QuantError> {
         if !(2..=8).contains(&bits) {
             return Err(QuantError::UnsupportedWidth { bits });
         }
         if dims == 0 {
             return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
         }
-        for t in &tokens {
-            if t.dims() != dims || t.bits() != bits {
-                return Err(QuantError::DimensionMismatch { expected: dims, actual: t.dims() });
-            }
+        Ok(())
+    }
+
+    /// Decomposes every row of a row-major integer matrix.
+    ///
+    /// Values are interpreted in `bits`-wide two's complement; they must
+    /// fit (this holds by construction for codes produced by
+    /// [`QuantParams`](crate::QuantParams) of the same width). A single
+    /// row decomposes into a 1-token matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
+    /// multiple of `dims`, or [`QuantError::UnsupportedWidth`] for a width
+    /// outside `2..=8`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value does not fit in `bits` two's-complement bits (a
+    /// caller contract violation rather than a data-dependent condition).
+    pub fn from_rows(data: &[i8], dims: usize, bits: u32) -> Result<Self, QuantError> {
+        Self::check_shape(dims, bits)?;
+        let mut m = Self::empty(dims, bits);
+        m.append_rows(data)?;
+        Ok(m)
+    }
+
+    /// Adopts an already-packed word slab in this matrix's layout — the
+    /// inverse of [`BitPlaneMatrix::words`], used by the spill tier and
+    /// the cache image to re-adopt serialized planes without
+    /// re-decomposing any values. The ones counts are recomputed from the
+    /// words, so a round trip is `==`-identical to the original matrix.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantError::UnsupportedWidth`] for a width outside `2..=8`
+    /// and [`QuantError::DimensionMismatch`] for `dims == 0`, a word count
+    /// that is not a whole number of tokens, or a padding bit set past
+    /// `dims` in any plane (tail garbage would corrupt word-level popcount
+    /// kernels).
+    pub fn from_words(words: Vec<u64>, dims: usize, bits: u32) -> Result<Self, QuantError> {
+        Self::check_shape(dims, bits)?;
+        let stride = dims.div_ceil(64);
+        let per_token = stride * bits as usize;
+        if !words.len().is_multiple_of(per_token) {
+            return Err(QuantError::DimensionMismatch {
+                expected: words.len().next_multiple_of(per_token),
+                actual: words.len(),
+            });
         }
-        Ok(Self { tokens, bits, dims })
+        let mut ones = Vec::with_capacity(words.len() / stride);
+        for plane in words.chunks_exact(stride) {
+            if !tail_is_clear(plane, dims) {
+                return Err(QuantError::DimensionMismatch { expected: dims, actual: dims + 1 });
+            }
+            ones.push(plane.iter().map(|w| w.count_ones()).sum());
+        }
+        Ok(Self { words, ones, bits, dims })
     }
 
     /// Decomposes and appends more token rows in place. Existing tokens are
@@ -533,38 +495,67 @@ impl BitPlaneMatrix {
     ///
     /// Returns [`QuantError::DimensionMismatch`] when `data.len()` is not a
     /// multiple of this matrix's `dims` (no rows are appended in that case).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value does not fit in this matrix's width.
     pub fn append_rows(&mut self, data: &[i8]) -> Result<(), QuantError> {
         if !data.len().is_multiple_of(self.dims) {
             return Err(QuantError::DimensionMismatch { expected: self.dims, actual: data.len() });
         }
-        self.tokens.reserve(data.len() / self.dims);
-        for row in data.chunks(self.dims) {
-            self.tokens.push(TokenPlanes::try_from_values(row, self.bits)?);
+        let lo = -(1i32 << (self.bits - 1));
+        let hi = (1i32 << (self.bits - 1)) - 1;
+        for &v in data {
+            assert!(
+                (lo..=hi).contains(&i32::from(v)),
+                "value {v} does not fit in {}-bit two's complement",
+                self.bits
+            );
+        }
+        let stride = self.dims.div_ceil(64);
+        let per_token = stride * self.bits as usize;
+        let start = self.words.len();
+        self.words.resize(start + data.len() / self.dims * per_token, 0);
+        self.ones.reserve(data.len() / self.dims * self.bits as usize);
+        for (row, out) in
+            data.chunks(self.dims).zip(self.words[start..].chunks_exact_mut(per_token))
+        {
+            pack_plane_words(row, self.bits, out);
+            self.ones.extend(
+                out.chunks_exact(stride).map(|p| p.iter().map(|w| w.count_ones()).sum::<u32>()),
+            );
         }
         Ok(())
     }
 
-    /// Appends one already-decomposed token.
+    /// Appends a copy of one token's planes.
     ///
     /// # Errors
     ///
     /// Returns [`QuantError::DimensionMismatch`] when the token's shape
     /// differs from this matrix's `dims`/`bits`.
-    pub fn push_token(&mut self, token: TokenPlanes) -> Result<(), QuantError> {
+    pub fn push_token(&mut self, token: TokenPlanes<'_>) -> Result<(), QuantError> {
         if token.dims() != self.dims || token.bits() != self.bits {
             return Err(QuantError::DimensionMismatch {
                 expected: self.dims,
                 actual: token.dims(),
             });
         }
-        self.tokens.push(token);
+        self.words.extend_from_slice(token.words);
+        self.ones.extend_from_slice(token.ones);
         Ok(())
+    }
+
+    /// Releases spare slab capacity left by amortized growth.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+        self.ones.shrink_to_fit();
     }
 
     /// Number of tokens (rows).
     #[must_use]
     pub fn tokens(&self) -> usize {
-        self.tokens.len()
+        self.ones.len() / self.bits as usize
     }
 
     /// Number of hidden dimensions per token.
@@ -585,8 +576,21 @@ impl BitPlaneMatrix {
     ///
     /// Panics if `j >= self.tokens()`.
     #[must_use]
-    pub fn token(&self, j: usize) -> &TokenPlanes {
-        &self.tokens[j]
+    pub fn token(&self, j: usize) -> TokenPlanes<'_> {
+        let bits = self.bits as usize;
+        let per_token = bits * self.dims.div_ceil(64);
+        TokenPlanes {
+            words: &self.words[j * per_token..(j + 1) * per_token],
+            ones: &self.ones[j * bits..(j + 1) * bits],
+            dims: self.dims,
+        }
+    }
+
+    /// The whole word slab: every token, every plane MSB first,
+    /// `⌈dims/64⌉` words per plane.
+    #[must_use]
+    pub fn words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Bytes occupied by a single bit plane of a single token, rounded up to
@@ -596,14 +600,14 @@ impl BitPlaneMatrix {
         self.dims.div_ceil(8)
     }
 
-    /// Heap bytes held by all packed plane words of this matrix — what a
-    /// cache manager bills for keeping the decomposed tensor resident.
-    /// Every token stores `bits` planes of `⌈dims/64⌉` words, so this is
-    /// pure arithmetic (a budget check must stay off the hot path's
-    /// critical cost).
+    /// Bytes of packed plane words held by this matrix — what a cache
+    /// manager bills for keeping the decomposed tensor resident. Every
+    /// token stores `bits` planes of `⌈dims/64⌉` words, so this is pure
+    /// arithmetic (a budget check must stay off the hot path's critical
+    /// cost).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
-        self.tokens.len() * self.bits as usize * self.dims.div_ceil(64) * std::mem::size_of::<u64>()
+        self.tokens() * self.bits as usize * self.dims.div_ceil(64) * std::mem::size_of::<u64>()
     }
 }
 
@@ -611,6 +615,11 @@ impl BitPlaneMatrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// One token's decomposition: a 1-token matrix.
+    fn one(values: &[i8], bits: u32) -> BitPlaneMatrix {
+        BitPlaneMatrix::from_rows(values, values.len(), bits).unwrap()
+    }
 
     #[test]
     fn plane_weights_sum_to_minus_one() {
@@ -636,7 +645,8 @@ mod tests {
         // Fig. 5(a): 4-bit MSB-only speculation of (+5)*(+5) + (+5)*(-5).
         // MSB plane of 0101 (+5) is 0 -> conservative value 0; MSB plane of
         // 1011 (-5) is 1 -> conservative value -8. Estimated: 5*0 + 5*(-8) = -40.
-        let k = TokenPlanes::from_values(&[5, -5], 4);
+        let m = one(&[5, -5], 4);
+        let k = m.token(0);
         let msb = k.plane(0);
         let est = plane_weight(0, 4) * msb.masked_sum(&[5, 5]);
         assert_eq!(est, -40);
@@ -648,7 +658,8 @@ mod tests {
 
     #[test]
     fn masked_sum_counts_selected_queries() {
-        let plane = PlaneRow::from_bits([true, false, true, true]);
+        let words = pack_bits([true, false, true, true]);
+        let plane = PlaneRow::from_words(&words, 4).unwrap();
         assert_eq!(plane.masked_sum(&[1, 2, 3, 4]), 8);
         assert_eq!(plane.count_ones(), 3);
         assert_eq!(plane.count_zeros(), 1);
@@ -657,7 +668,8 @@ mod tests {
     #[test]
     fn plane_row_across_word_boundary() {
         let bits: Vec<bool> = (0..130).map(|i| i % 3 == 0).collect();
-        let plane = PlaneRow::from_bits(bits.iter().copied());
+        let words = pack_bits(bits.iter().copied());
+        let plane = PlaneRow::from_words(&words, 130).unwrap();
         assert_eq!(plane.len(), 130);
         for (i, &b) in bits.iter().enumerate() {
             assert_eq!(plane.bit(i), b, "bit {i}");
@@ -687,24 +699,27 @@ mod tests {
     #[test]
     fn from_words_rejects_bad_shapes() {
         // Wrong word count for the claimed length.
-        assert!(PlaneRow::from_words(vec![0u64; 2], 64).is_err());
-        assert!(PlaneRow::from_words(vec![], 1).is_err());
+        assert!(PlaneRow::from_words(&[0u64; 2], 64).is_err());
+        assert!(PlaneRow::from_words(&[], 1).is_err());
         // Tail garbage past len.
-        assert!(PlaneRow::from_words(vec![0b100], 2).is_err());
+        assert!(PlaneRow::from_words(&[0b100], 2).is_err());
         // Exact fit round-trips.
-        let row = PlaneRow::from_words(vec![0b011], 2).unwrap();
+        let row = PlaneRow::from_words(&[0b011], 2).unwrap();
         assert_eq!(row.count_ones(), 2);
     }
 
     #[test]
-    fn from_planes_rejects_bad_shapes() {
-        let p4 = PlaneRow::from_bits([true, false, true, true]);
-        let p3 = PlaneRow::from_bits([true, false, true]);
-        assert!(TokenPlanes::from_planes(vec![p4.clone()]).is_err(), "1 plane < 2 bits");
-        assert!(TokenPlanes::from_planes(vec![p4.clone(); 9]).is_err(), "9 planes > 8 bits");
-        assert!(TokenPlanes::from_planes(vec![p4.clone(), p3]).is_err(), "ragged dims");
-        let t = TokenPlanes::from_planes(vec![p4.clone(), p4.clone()]).unwrap();
-        assert_eq!((t.bits(), t.dims()), (2, 4));
+    fn matrix_from_words_rejects_bad_shapes() {
+        assert!(BitPlaneMatrix::from_words(vec![0; 2], 4, 1).is_err(), "1 plane < 2 bits");
+        assert!(BitPlaneMatrix::from_words(vec![0; 9], 4, 9).is_err(), "9 planes > 8 bits");
+        assert!(BitPlaneMatrix::from_words(vec![0; 2], 0, 2).is_err(), "zero dims");
+        assert!(BitPlaneMatrix::from_words(vec![0; 3], 4, 2).is_err(), "ragged token");
+        assert!(BitPlaneMatrix::from_words(vec![0, 0b1_0000], 4, 2).is_err(), "tail garbage");
+        assert!(BitPlaneMatrix::from_words(vec![0; 3], 65, 2).is_err(), "ragged 2-word plane");
+        let m = BitPlaneMatrix::from_words(vec![0b1111, 0b0101, 0, 0b1], 4, 2).unwrap();
+        assert_eq!((m.tokens(), m.bits(), m.dims()), (2, 2, 4));
+        assert_eq!(m.token(0).reconstruct(), vec![-1, -2, -1, -2]);
+        assert_eq!(m.token(1).plane(1).count_ones(), 1);
     }
 
     proptest! {
@@ -715,33 +730,28 @@ mod tests {
         ) {
             // Fold the full i8 range into the width (arithmetic shift keeps
             // two's-complement semantics), decompose, then rebuild every
-            // plane and token from serialized words alone.
+            // plane and the matrix from serialized words alone.
             let narrowed: Vec<i8> = values.iter().map(|&v| v >> (8 - bits)).collect();
-            let token = TokenPlanes::from_values(&narrowed, bits);
-            let rebuilt = TokenPlanes::from_planes(
-                (0..bits)
-                    .map(|r| {
-                        let p = token.plane(r);
-                        PlaneRow::from_words(p.words().to_vec(), p.len()).unwrap()
-                    })
-                    .collect(),
-            )
-            .unwrap();
-            prop_assert_eq!(&rebuilt, &token);
-            prop_assert_eq!(rebuilt.reconstruct(), token.reconstruct());
+            let m = one(&narrowed, bits);
+            let token = m.token(0);
+            for r in 0..bits {
+                let p = token.plane(r);
+                prop_assert_eq!(PlaneRow::from_words(p.words(), p.len()).unwrap(), p);
+            }
+            let rebuilt = BitPlaneMatrix::from_words(m.words().to_vec(), narrowed.len(), bits).unwrap();
+            prop_assert_eq!(&rebuilt, &m);
+            prop_assert_eq!(rebuilt.token(0).reconstruct(), token.reconstruct());
         }
 
         #[test]
         fn prop_reconstruction_is_exact_int8(values in proptest::collection::vec(any::<i8>(), 1..200)) {
-            let planes = TokenPlanes::from_values(&values, 8);
-            let rec = planes.reconstruct();
+            let rec = one(&values, 8).token(0).reconstruct();
             prop_assert_eq!(rec, values.iter().map(|&v| i32::from(v)).collect::<Vec<_>>());
         }
 
         #[test]
         fn prop_reconstruction_is_exact_int4(values in proptest::collection::vec(-8i8..=7, 1..100)) {
-            let planes = TokenPlanes::from_values(&values, 4);
-            let rec = planes.reconstruct();
+            let rec = one(&values, 4).token(0).reconstruct();
             prop_assert_eq!(rec, values.iter().map(|&v| i32::from(v)).collect::<Vec<_>>());
         }
 
@@ -754,7 +764,8 @@ mod tests {
             let k: Vec<i8> = q.iter().enumerate()
                 .map(|(i, _)| ((seed.wrapping_mul(i as u64 + 1).wrapping_add(i as u64 * 7919)) % 256) as u8 as i8)
                 .collect();
-            let planes = TokenPlanes::from_values(&k, 8);
+            let m = one(&k, 8);
+            let planes = m.token(0);
             let exact: i32 = q.iter().zip(&k).map(|(&a, &b)| i32::from(a) * i32::from(b)).sum();
             let mut partial = 0i32;
             for r in 0..8u32 {
@@ -774,7 +785,8 @@ mod tests {
             let len = base * 64 + [0usize, 1, 63][tail_idx];
             let bits: Vec<bool> =
                 (0..len).map(|i| seed.wrapping_mul(i as u64 + 1).wrapping_add(i as u64).is_multiple_of(3)).collect();
-            let plane = PlaneRow::from_bits(bits.iter().copied());
+            let words = pack_bits(bits.iter().copied());
+            let plane = PlaneRow::from_words(&words, len).unwrap();
             prop_assert!(plane.tail_is_clear());
             let expected_ones = bits.iter().filter(|&&b| b).count() as u32;
             prop_assert_eq!(plane.count_ones(), expected_ones);
@@ -793,18 +805,18 @@ mod tests {
             let len = base * 64 + [0usize, 1, 63][tail_idx];
             let a_bits: Vec<bool> = (0..len).map(|i| seed_a.wrapping_mul(i as u64 + 3).is_multiple_of(2)).collect();
             let b_bits: Vec<bool> = (0..len).map(|i| seed_b.wrapping_mul(i as u64 + 5).is_multiple_of(2)).collect();
-            let a = PlaneRow::from_bits(a_bits.iter().copied());
-            let b = PlaneRow::from_bits(b_bits.iter().copied());
+            let (a, b) = (pack_bits(a_bits.iter().copied()), pack_bits(b_bits.iter().copied()));
             let expect = a_bits.iter().zip(&b_bits).filter(|(x, y)| **x && **y).count() as u32;
-            prop_assert_eq!(and_popcount_words(a.words(), b.words()), expect);
-            prop_assert_eq!(and_popcount_words(b.words(), a.words()), expect);
+            prop_assert_eq!(and_popcount_words(&a, &b), expect);
+            prop_assert_eq!(and_popcount_words(&b, &a), expect);
         }
 
         #[test]
         fn prop_unknown_bits_bounded_by_span(v in any::<i8>(), r in 0u32..8) {
             // The value formed by zeroing unknown planes differs from the true
             // value by at most U_r, and never exceeds it.
-            let planes = TokenPlanes::from_values(&[v], 8);
+            let m = one(&[v], 8);
+            let planes = m.token(0);
             let mut known = 0i32;
             for p in 0..=r {
                 if planes.plane(p).bit(0) {

@@ -11,15 +11,16 @@
 //!   reallocates or invalidates a sealed chunk, so every snapshot handed
 //!   to an in-flight engine block stays valid (and cheap: one refcount
 //!   per chunk) while the session keeps growing;
-//! * the open tail collects freshly appended [`TokenPlanes`] until it
-//!   reaches `chunk_tokens` and is sealed.
+//! * the open tail is itself a [`BitPlaneMatrix`] slab that freshly
+//!   appended tokens extend until it reaches `chunk_tokens`; sealing then
+//!   moves that slab, uncopied, into the new `Arc`'d chunk.
 //!
 //! [`GrowableKeyCache::snapshot`] freezes the current prefix into a
-//! [`KeyCacheSnapshot`]: the sealed chunks by reference plus the tail
-//! copied into one short chunk. A snapshot implements [`PlaneSource`], so
-//! the engine runs over it exactly as over a from-scratch
-//! [`BitPlaneMatrix`] — and because appends decompose each token with the
-//! same [`TokenPlanes::try_from_values`] that
+//! [`KeyCacheSnapshot`]: the sealed chunks by reference plus a copy of
+//! the tail slab as one short chunk. A snapshot implements
+//! [`PlaneSource`], so the engine runs over it exactly as over a
+//! from-scratch [`BitPlaneMatrix`] — and because appends decompose
+//! through the same [`BitPlaneMatrix::append_rows`] that
 //! [`BitPlaneMatrix::from_rows`] uses, N incremental appends produce
 //! **byte-identical** engine outputs to a from-scratch decomposition of
 //! the same N tokens (property-tested in `tests/properties.rs` and
@@ -49,7 +50,7 @@ pub trait PlaneSource {
     /// # Panics
     ///
     /// Panics if `j >= self.tokens()`.
-    fn token(&self, j: usize) -> &TokenPlanes;
+    fn token(&self, j: usize) -> TokenPlanes<'_>;
     /// Bytes occupied by a single bit plane of a single token, rounded up
     /// to whole bytes (what one OOE bit-plane fetch transfers).
     fn plane_bytes(&self) -> usize {
@@ -67,7 +68,7 @@ impl PlaneSource for BitPlaneMatrix {
     fn bits(&self) -> u32 {
         BitPlaneMatrix::bits(self)
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         BitPlaneMatrix::token(self, j)
     }
     fn plane_bytes(&self) -> usize {
@@ -85,7 +86,7 @@ impl<K: PlaneSource + ?Sized> PlaneSource for &K {
     fn bits(&self) -> u32 {
         (**self).bits()
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         (**self).token(j)
     }
     fn plane_bytes(&self) -> usize {
@@ -103,7 +104,7 @@ impl<K: PlaneSource + ?Sized> PlaneSource for Arc<K> {
     fn bits(&self) -> u32 {
         (**self).bits()
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         (**self).token(j)
     }
     fn plane_bytes(&self) -> usize {
@@ -134,7 +135,8 @@ pub struct GrowableKeyCache {
     bits: u32,
     chunk_tokens: usize,
     sealed: Vec<Arc<BitPlaneMatrix>>,
-    tail: Vec<TokenPlanes>,
+    /// The open tail: fewer than `chunk_tokens` tokens in one slab.
+    tail: BitPlaneMatrix,
     /// Telemetry hookup: `(tracer, track)`. Events are stamped with the
     /// cache's token count (monotonic under append-only growth). A pure
     /// side channel — storage and decomposition never read it.
@@ -167,13 +169,18 @@ impl GrowableKeyCache {
     /// and [`QuantError::DimensionMismatch`] for `dims == 0` or
     /// `chunk_tokens == 0`.
     pub fn new(dims: usize, bits: u32, chunk_tokens: usize) -> Result<Self, QuantError> {
-        if !(2..=8).contains(&bits) {
-            return Err(QuantError::UnsupportedWidth { bits });
-        }
-        if dims == 0 || chunk_tokens == 0 {
+        BitPlaneMatrix::check_shape(dims, bits)?;
+        if chunk_tokens == 0 {
             return Err(QuantError::DimensionMismatch { expected: 1, actual: 0 });
         }
-        Ok(Self { dims, bits, chunk_tokens, sealed: Vec::new(), tail: Vec::new(), trace: None })
+        Ok(Self {
+            dims,
+            bits,
+            chunk_tokens,
+            sealed: Vec::new(),
+            tail: BitPlaneMatrix::empty(dims, bits),
+            trace: None,
+        })
     }
 
     /// Binds this cache's telemetry to `track` of `tracer`. Appends and
@@ -245,7 +252,7 @@ impl GrowableKeyCache {
     /// Total tokens appended so far.
     #[must_use]
     pub fn tokens(&self) -> usize {
-        self.sealed.len() * self.chunk_tokens + self.tail.len()
+        self.sealed.len() * self.chunk_tokens + self.tail.tokens()
     }
 
     /// The sealed (immutable, `Arc`-shared) chunks, oldest first. Exposed
@@ -260,7 +267,7 @@ impl GrowableKeyCache {
     /// Tokens still in the open (unsealed) tail.
     #[must_use]
     pub fn tail_tokens(&self) -> usize {
-        self.tail.len()
+        self.tail.tokens()
     }
 
     /// Heap bytes held by the packed plane words of every resident token
@@ -275,10 +282,9 @@ impl GrowableKeyCache {
     /// Heap bytes of the open tail alone — the part of
     /// [`resident_bytes`](Self::resident_bytes) never shared with other
     /// caches, so a deduplicating accountant bills it unconditionally.
-    /// `O(tail_tokens)`, bounded by one chunk.
     #[must_use]
     pub fn tail_resident_bytes(&self) -> usize {
-        self.tail.iter().map(TokenPlanes::resident_bytes).sum()
+        self.tail.resident_bytes()
     }
 
     /// Decomposes and appends one token's values — the per-decode-step
@@ -296,12 +302,18 @@ impl GrowableKeyCache {
                 actual: values.len(),
             });
         }
-        self.tail.push(TokenPlanes::try_from_values(values, self.bits)?);
-        if self.tail.len() == self.chunk_tokens {
+        self.extend_tail(values)
+    }
+
+    /// Decomposes whole rows into the open tail, which `rows` must not
+    /// overfill, and seals the tail once it holds `chunk_tokens` tokens.
+    fn extend_tail(&mut self, rows: &[i8]) -> Result<(), QuantError> {
+        self.tail.append_rows(rows)?;
+        if self.tail.tokens() == self.chunk_tokens {
             let seal_wall = self.trace.is_some().then(std::time::Instant::now);
-            let chunk = std::mem::take(&mut self.tail);
-            let sealed = BitPlaneMatrix::from_tokens(chunk, self.dims, self.bits)
-                .expect("tail tokens share the cache shape by construction");
+            let mut sealed =
+                std::mem::replace(&mut self.tail, BitPlaneMatrix::empty(self.dims, self.bits));
+            sealed.shrink_to_fit();
             self.sealed.push(Arc::new(sealed));
             if let (Some((tracer, track)), Some(t0)) = (&self.trace, seal_wall) {
                 let clock = Cycle(self.tokens() as u64);
@@ -319,7 +331,8 @@ impl GrowableKeyCache {
     }
 
     /// Appends a row-major block of tokens (e.g. the prompt prefix at
-    /// admission).
+    /// admission), decomposing at most one chunk's worth of rows into the
+    /// tail slab at a time.
     ///
     /// # Errors
     ///
@@ -331,8 +344,12 @@ impl GrowableKeyCache {
         }
         let wall = self.trace.is_some().then(std::time::Instant::now);
         let rows = data.len() / self.dims;
-        for row in data.chunks(self.dims) {
-            self.append_token(row)?;
+        let mut rest = data;
+        while !rest.is_empty() {
+            let room = (self.chunk_tokens - self.tail.tokens()) * self.dims;
+            let (head, next) = rest.split_at(room.min(rest.len()));
+            self.extend_tail(head)?;
+            rest = next;
         }
         if let (Some((tracer, track)), Some(t0)) = (&self.trace, wall) {
             // Zero-length span at the *post-append* token count: any seal
@@ -352,15 +369,16 @@ impl GrowableKeyCache {
     }
 
     /// Freezes the current prefix into an immutable snapshot: sealed
-    /// chunks by reference (one `Arc` clone each), the open tail copied
-    /// into one short chunk. Later appends never invalidate a snapshot.
+    /// chunks by reference (one `Arc` clone each) and a copy of the open
+    /// tail's slab as one short chunk — at most `chunk_tokens − 1`
+    /// tokens' words and ones counts, copied in two allocations. Later
+    /// appends never invalidate a snapshot.
     #[must_use]
     pub fn snapshot(&self) -> KeyCacheSnapshot {
-        let mut chunks = self.sealed.clone();
-        if !self.tail.is_empty() {
-            let tail = BitPlaneMatrix::from_tokens(self.tail.clone(), self.dims, self.bits)
-                .expect("tail tokens share the cache shape by construction");
-            chunks.push(Arc::new(tail));
+        let mut chunks = Vec::with_capacity(self.sealed.len() + 1);
+        chunks.extend(self.sealed.iter().cloned());
+        if self.tail.tokens() > 0 {
+            chunks.push(Arc::new(self.tail.clone()));
         }
         KeyCacheSnapshot {
             chunks,
@@ -418,10 +436,11 @@ impl KeyCacheSnapshot {
     /// from-scratch form, for equality checks and tests.
     #[must_use]
     pub fn materialize(&self) -> BitPlaneMatrix {
-        let tokens: Vec<TokenPlanes> =
-            (0..self.tokens).map(|j| PlaneSource::token(self, j).clone()).collect();
-        BitPlaneMatrix::from_tokens(tokens, self.dims, self.bits)
-            .expect("snapshot chunks share one shape")
+        let mut out = BitPlaneMatrix::empty(self.dims, self.bits);
+        for j in 0..self.tokens {
+            out.push_token(PlaneSource::token(self, j)).expect("snapshot chunks share one shape");
+        }
+        out
     }
 }
 
@@ -435,7 +454,7 @@ impl PlaneSource for KeyCacheSnapshot {
     fn bits(&self) -> u32 {
         self.bits
     }
-    fn token(&self, j: usize) -> &TokenPlanes {
+    fn token(&self, j: usize) -> TokenPlanes<'_> {
         assert!(j < self.tokens, "token {j} out of bounds ({} tokens)", self.tokens);
         self.chunks[j / self.chunk_tokens].token(j % self.chunk_tokens)
     }

@@ -7,7 +7,8 @@
 //!
 //! * [`QuantParams`] / [`quantize_matrix`] — symmetric integer quantization
 //!   (INT8 by default, arbitrary width 2..=8 for the PTQ4/QAT4 studies),
-//! * [`TokenPlanes`] / [`BitPlaneMatrix`] — two's-complement bit-plane views
+//! * [`BitPlaneMatrix`] — two's-complement bit planes of a key matrix in
+//!   one word slab, read through `Copy` [`TokenPlanes`] / [`PlaneRow`] views,
 //!   with the exact reconstruction identity `x = -b_{p-1}·2^{p-1} + Σ b_i·2^i`,
 //! * [`uncertainty_span`] — the residual magnitude `U_r` of all *unknown*
 //!   planes after round `r`, the quantity the Bit-wise Uncertainty Interval
@@ -26,13 +27,13 @@
 //! # Example
 //!
 //! ```
-//! use pade_quant::{QuantParams, TokenPlanes};
+//! use pade_quant::{BitPlaneMatrix, QuantParams};
 //!
 //! let params = QuantParams::from_max_abs(1.0, 8);
 //! let q = params.quantize(0.5);
-//! let planes = TokenPlanes::from_values(&[q, -q], 8);
+//! let planes = BitPlaneMatrix::from_rows(&[q, -q], 2, 8).unwrap();
 //! // Bit planes reconstruct the original integers exactly.
-//! assert_eq!(planes.reconstruct(), vec![q as i32, -(q as i32)]);
+//! assert_eq!(planes.token(0).reconstruct(), vec![q as i32, -(q as i32)]);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,7 +48,8 @@ pub mod mxint;
 mod params;
 
 pub use bitplane::{
-    and_popcount_words, plane_weight, uncertainty_span, BitPlaneMatrix, PlaneRow, TokenPlanes,
+    and_popcount_words, pack_bits, plane_weight, uncertainty_span, BitPlaneMatrix, PlaneRow,
+    TokenPlanes,
 };
 pub use digitplane::{
     digit_round_to_plane, digit_rounds, digit_uncertainty_span, digit_weight, DigitPlaneMatrix,

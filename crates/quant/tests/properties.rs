@@ -8,14 +8,14 @@
 use std::sync::Arc;
 
 use pade_quant::{
-    plane_weight, uncertainty_span, BitPlaneMatrix, GrowableKeyCache, PlaneRow, PlaneSource,
-    TokenPlanes,
+    pack_bits, plane_weight, uncertainty_span, BitPlaneMatrix, GrowableKeyCache, PlaneRow,
+    PlaneSource,
 };
 use pade_testutil::{vec_i8, vec_i8_bits};
 use proptest::prelude::*;
 
 proptest! {
-    /// `from_values` → `reconstruct` is the identity of Eq. 2 at every
+    /// `from_rows` → `reconstruct` is the identity of Eq. 2 at every
     /// supported width and length (including a single dimension).
     #[test]
     fn round_trip_is_exact_at_every_width(
@@ -24,15 +24,16 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let values = vec_i8_bits(n, seed, bits);
-        let planes = TokenPlanes::from_values(&values, bits);
+        let m = BitPlaneMatrix::from_rows(&values, n, bits).unwrap();
+        let planes = m.token(0);
         prop_assert_eq!(planes.bits(), bits);
         prop_assert_eq!(planes.dims(), n);
         let rec = planes.reconstruct();
         prop_assert_eq!(rec, values.iter().map(|&v| i32::from(v)).collect::<Vec<_>>());
     }
 
-    /// The word-packed decomposition behind `TokenPlanes::try_from_values`
-    /// equals a per-bit `PlaneRow::from_bits` construction word for word,
+    /// The word-packed decomposition behind `BitPlaneMatrix::from_rows`
+    /// equals a per-bit `pack_bits` construction word for word,
     /// tail bits included, at every width and at lengths around the word
     /// boundaries. The engine and its seed oracle both read keys through
     /// this decomposition, so their differential tests cannot catch a
@@ -45,15 +46,17 @@ proptest! {
     ) {
         let len = [1usize, 63, 64, 65, 127, 128, 200][len_idx];
         let values = vec_i8_bits(len, seed, bits);
-        let packed = TokenPlanes::try_from_values(&values, bits).unwrap();
+        let m = BitPlaneMatrix::from_rows(&values, len, bits).unwrap();
+        let packed = m.token(0);
         let mask = (1u32 << bits) - 1;
         for r in 0..bits {
-            let per_bit = PlaneRow::from_bits(
+            let words = pack_bits(
                 values.iter().map(|&v| (u32::from(v as u8) & mask) >> (bits - 1 - r) & 1 == 1),
             );
+            let per_bit = PlaneRow::from_words(&words, len).unwrap();
             prop_assert_eq!(packed.plane(r).words(), per_bit.words(), "plane {}", r);
             prop_assert!(packed.plane(r).tail_is_clear(), "plane {}", r);
-            prop_assert_eq!(packed.plane(r), &per_bit, "plane {}", r);
+            prop_assert_eq!(packed.plane(r), per_bit, "plane {}", r);
         }
     }
 
@@ -84,7 +87,7 @@ proptest! {
     #[test]
     fn incremental_appends_match_from_scratch(
         bits in 2u32..=8,
-        dims in 1usize..40,
+        dims in 1usize..160,
         n_tokens in 1usize..48,
         chunk in 1usize..17,
         bulk in 0usize..48,
@@ -127,7 +130,7 @@ proptest! {
     #[test]
     fn matrix_append_rows_matches_concatenation(
         bits in 2u32..=8,
-        dims in 1usize..24,
+        dims in 1usize..160,
         head in 1usize..16,
         tail in 0usize..16,
         seed in any::<u64>(),
@@ -149,7 +152,8 @@ proptest! {
     ) {
         let k = vec_i8_bits(n, seed, bits);
         let q = vec_i8(n, seed ^ 0xDEAD);
-        let planes = TokenPlanes::from_values(&k, bits);
+        let m = BitPlaneMatrix::from_rows(&k, n, bits).unwrap();
+        let planes = m.token(0);
         let exact: i64 = q.iter().zip(&k).map(|(&a, &b)| i64::from(a) * i64::from(b)).sum();
         let mut partial = 0i64;
         for r in 0..bits {
@@ -182,9 +186,9 @@ fn unsupported_widths_are_rejected_everywhere() {
     // bits=1 (and 0, 9) is outside the supported 2..=8 envelope: every
     // entry point reports it as UnsupportedWidth instead of decomposing.
     for bits in [0u32, 1, 9] {
-        assert!(TokenPlanes::try_from_values(&[0], bits).is_err(), "bits={bits}");
         assert!(BitPlaneMatrix::from_rows(&[0], 1, bits).is_err(), "bits={bits}");
-        assert!(BitPlaneMatrix::from_tokens(Vec::new(), 1, bits).is_err(), "bits={bits}");
+        assert!(BitPlaneMatrix::from_rows(&[], 1, bits).is_err(), "bits={bits}");
+        assert!(BitPlaneMatrix::from_words(Vec::new(), 1, bits).is_err(), "bits={bits}");
         assert!(GrowableKeyCache::new(1, bits, 4).is_err(), "bits={bits}");
     }
 }
@@ -199,9 +203,9 @@ fn appends_reject_mismatched_shapes_without_partial_growth() {
     let mut m = BitPlaneMatrix::from_rows(&[1, 2, 3, 4], 4, 8).unwrap();
     assert!(m.append_rows(&[1, 2]).is_err());
     assert_eq!(m.tokens(), 1);
-    let narrow = TokenPlanes::from_values(&[1, 2], 8);
-    assert!(m.push_token(narrow).is_err());
-    let wrong_bits = TokenPlanes::from_values(&[1, 2, 3, 4], 4);
-    assert!(m.push_token(wrong_bits).is_err());
+    let narrow = BitPlaneMatrix::from_rows(&[1, 2], 2, 8).unwrap();
+    assert!(m.push_token(narrow.token(0)).is_err());
+    let wrong_bits = BitPlaneMatrix::from_rows(&[1, 2, 3, 4], 4, 4).unwrap();
+    assert!(m.push_token(wrong_bits.token(0)).is_err());
     assert_eq!(m.tokens(), 1);
 }

@@ -12,7 +12,13 @@
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
-use pade_quant::{BitPlaneMatrix, PlaneRow, TokenPlanes};
+use pade_quant::BitPlaneMatrix;
+
+/// Upper bound on what a reader reserves before data arrives: 8 Ki
+/// entries (32 KiB of ids, 64 KiB of plane words). Longer payloads grow
+/// as they are read, so a corrupt header claiming a huge count costs
+/// nothing until the stream actually delivers that much.
+const INITIAL_RESERVE: usize = 1 << 13;
 
 /// Writes a `u32` little-endian.
 ///
@@ -88,7 +94,8 @@ pub fn write_ids<W: Write>(w: &mut W, ids: &[u32]) -> io::Result<()> {
 }
 
 /// Reads a length-prefixed token-id sequence. The count is bounded
-/// (16 Mi ids) so a corrupt length cannot drive a huge allocation.
+/// (16 Mi ids), and the buffer grows as ids arrive, so a corrupt length
+/// cannot drive a huge allocation.
 ///
 /// # Errors
 ///
@@ -99,65 +106,69 @@ pub fn read_ids<R: Read>(r: &mut R) -> io::Result<Vec<u32>> {
     if n > 1 << 24 {
         return Err(io::Error::new(io::ErrorKind::InvalidData, format!("absurd id count {n}")));
     }
-    let mut ids = Vec::with_capacity(n as usize);
+    let mut ids = Vec::with_capacity((n as usize).min(INITIAL_RESERVE));
     for _ in 0..n {
         ids.push(read_u32(r)?);
     }
     Ok(ids)
 }
 
-/// Serializes a plane matrix as packed words: token count, then for
-/// every token, every plane MSB-first, the plane's `⌈dims/64⌉` raw
-/// little-endian words. Shape (`dims`, `bits`) is the reader's context,
-/// not repeated per record.
+/// Words moved per `read_exact`/`write_all` call by the plane codecs.
+const WORD_BLOCK: usize = 512;
+
+/// Serializes a plane matrix as packed words: token count, then the
+/// matrix's word slab — for every token, every plane MSB-first, the
+/// plane's `⌈dims/64⌉` raw little-endian words. Shape (`dims`, `bits`)
+/// is the reader's context, not repeated per record.
 ///
 /// # Errors
 ///
 /// Propagates writer errors.
 pub fn write_planes<W: Write>(w: &mut W, planes: &BitPlaneMatrix) -> io::Result<()> {
     write_u64(w, planes.tokens() as u64)?;
-    for j in 0..planes.tokens() {
-        let token = planes.token(j);
-        for r in 0..planes.bits() {
-            for &word in token.plane(r).words() {
-                write_u64(w, word)?;
-            }
+    let mut buf = [0u8; 8 * WORD_BLOCK];
+    for block in planes.words().chunks(WORD_BLOCK) {
+        for (bytes, word) in buf.chunks_exact_mut(8).zip(block) {
+            bytes.copy_from_slice(&word.to_le_bytes());
         }
+        w.write_all(&buf[..8 * block.len()])?;
     }
     Ok(())
 }
 
 /// Parses a [`write_planes`] stream back into a matrix of the given
-/// shape — pure word parsing, no decomposition. The token count is
-/// bounded (16 Mi) so a corrupt length cannot drive a huge allocation.
+/// shape — pure word parsing into one slab, no decomposition. The token
+/// count is bounded (16 Mi), and the slab grows as words arrive, so a
+/// corrupt length cannot drive a huge allocation.
 ///
 /// # Errors
 ///
 /// Returns `InvalidData` when the words violate the plane invariants
 /// (tail garbage, bad shape) and propagates reader errors.
 pub fn read_planes<R: Read>(r: &mut R, dims: usize, bits: u32) -> io::Result<BitPlaneMatrix> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
     let n_tokens = read_u64(r)?;
     if n_tokens > 1 << 24 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("absurd token count {n_tokens}"),
-        ));
+        return Err(invalid(format!("absurd token count {n_tokens}")));
     }
-    let words_per_plane = dims.div_ceil(64);
-    let invalid = |e: pade_quant::QuantError| io::Error::new(io::ErrorKind::InvalidData, e);
-    let mut tokens = Vec::with_capacity((n_tokens as usize).min(4096));
-    for _ in 0..n_tokens {
-        let mut rows = Vec::with_capacity(bits as usize);
-        for _ in 0..bits {
-            let mut words = Vec::with_capacity(words_per_plane);
-            for _ in 0..words_per_plane {
-                words.push(read_u64(r)?);
-            }
-            rows.push(PlaneRow::from_words(words, dims).map_err(invalid)?);
-        }
-        tokens.push(TokenPlanes::from_planes(rows).map_err(invalid)?);
+    let total = (n_tokens as usize)
+        .checked_mul(bits as usize)
+        .and_then(|n| n.checked_mul(dims.div_ceil(64)))
+        .ok_or_else(|| invalid(format!("absurd plane shape {n_tokens}×{bits}×{dims}")))?;
+    let mut words = Vec::with_capacity(total.min(INITIAL_RESERVE));
+    let mut buf = [0u8; 8 * WORD_BLOCK];
+    while words.len() < total {
+        let take = (total - words.len()).min(WORD_BLOCK);
+        r.read_exact(&mut buf[..8 * take])?;
+        words.extend(
+            buf[..8 * take]
+                .chunks_exact(8)
+                .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+        );
     }
-    BitPlaneMatrix::from_tokens(tokens, dims, bits).map_err(invalid)
+    words.shrink_to_fit();
+    BitPlaneMatrix::from_words(words, dims, bits)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 /// [`write_planes`] for an `Arc`-shared matrix (the sealed-chunk form).
@@ -194,6 +205,11 @@ mod tests {
         write_u64(&mut buf, u64::MAX).unwrap();
         assert!(read_ids(&mut buf.as_slice()).is_err());
         assert!(read_planes(&mut buf.as_slice(), 64, 8).is_err());
+        // A legal token count whose word count overflows `usize`.
+        let mut buf = Vec::new();
+        write_u64(&mut buf, 1 << 24).unwrap();
+        let err = read_planes(&mut buf.as_slice(), usize::MAX, 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -206,5 +222,10 @@ mod tests {
         assert_eq!(back, planes);
         // Short stream: truncating anywhere fails cleanly.
         assert!(read_planes(&mut buf[..buf.len() - 1].as_ref(), 70, 8).is_err());
+        // A padding bit past `dims` (bit 63 of token 0's second sign-plane
+        // word) is corrupt data, not a plane.
+        buf[8 + 8 + 7] |= 0x80;
+        let err = read_planes(&mut buf.as_slice(), 70, 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }
