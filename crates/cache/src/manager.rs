@@ -76,7 +76,10 @@ pub struct CacheStats {
     /// (always `<= evicted_chunks`; the difference was dropped for real —
     /// no tier configured, or the tier's `put` failed).
     pub spilled_chunks: u64,
-    /// Plane-word payload bytes written to the spill tier.
+    /// Plane-word payload bytes demoted to the spill tier. A chunk the
+    /// tier already holds counts here again but is not rewritten (records
+    /// are immutable under their content-addressed key), so this exceeds
+    /// the bytes the tier actually wrote once chunks get re-evicted.
     pub spilled_bytes: u64,
     /// Chunks re-adopted from the spill tier at attach instead of being
     /// re-decomposed.
@@ -411,15 +414,28 @@ impl KvCacheManager {
             // be republished, and a fetch that stays private would be
             // pure I/O waste over an equal-cost parse.
             if indexable {
-                if let Some(tier) = &self.tier {
+                if let Some(tier) = &mut self.tier {
                     let key = chunk_key(parent, &ids[lo..hi]);
-                    let rec = tier.get(key).ok().flatten().filter(|rec| {
-                        rec.parent == parent
-                            && *rec.ids == ids[lo..hi]
-                            && rec.planes.tokens() == chunk_tokens
-                            && rec.planes.dims() == dims
-                            && rec.planes.bits() == self.config.bits
-                    });
+                    let rec = match tier.get(key) {
+                        Ok(None) => None,
+                        Ok(Some(rec))
+                            if rec.parent == parent
+                                && *rec.ids == ids[lo..hi]
+                                && rec.planes.tokens() == chunk_tokens
+                                && rec.planes.dims() == dims
+                                && rec.planes.bits() == self.config.bits =>
+                        {
+                            Some(rec)
+                        }
+                        // A record that fails to read or to match this
+                        // prefix position is stale. Eviction never
+                        // rewrites a held key, so drop it (best effort)
+                        // and let the next eviction write a fresh one.
+                        _ => {
+                            let _ = tier.remove(key);
+                            None
+                        }
+                    };
                     if let Some(rec) = rec {
                         if let Some((key, resident, created)) =
                             self.index.insert(parent, &ids[lo..hi], rec.planes, self.tick)
@@ -724,18 +740,28 @@ impl KvCacheManager {
                     // planes: a later prefix hit fetches them back
                     // byte-identical instead of re-decomposing. An I/O
                     // failure degrades to PR-5 drop-on-evict — the
-                    // budget must drain either way.
+                    // budget must drain either way. Chunk keys are
+                    // content addresses, so a key the tier already holds
+                    // names these exact planes: the demotion counts, but
+                    // the record is not written again (attach removes a
+                    // held record that fails to read back, so the next
+                    // eviction rewrites it).
                     if let Some(tier) = &mut self.tier {
-                        let record = ChunkRecord {
-                            key,
-                            parent,
-                            ids: ids.into(),
-                            planes: Arc::clone(&planes),
-                        };
-                        if tier.put(&record).is_ok() {
+                        let held = tier.contains(key)
+                            || tier
+                                .put(&ChunkRecord {
+                                    key,
+                                    parent,
+                                    ids: ids.into(),
+                                    planes: Arc::clone(&planes),
+                                })
+                                .is_ok();
+                        if held {
                             self.stats.spilled_chunks = self.stats.spilled_chunks.saturating_add(1);
-                            self.stats.spilled_bytes =
-                                self.stats.spilled_bytes.saturating_add(record.plane_bytes());
+                            self.stats.spilled_bytes = self
+                                .stats
+                                .spilled_bytes
+                                .saturating_add(planes.resident_bytes() as u64);
                             spilled_this_pass += 1;
                         }
                     }
@@ -989,6 +1015,49 @@ mod tests {
         assert_eq!(m.stats().fetched_tokens, 8);
         let scratch = BitPlaneMatrix::from_rows(&rows, 8, 8).unwrap();
         assert_eq!(b.cache.snapshot().materialize(), scratch, "fetched planes byte-identical");
+
+        // Re-evicting the held chunks counts as a demotion again, while
+        // the tier keeps one record per key.
+        let first = *m.stats();
+        m.release(b.lease);
+        assert_eq!(m.stats().spilled_chunks, 4);
+        assert_eq!(m.stats().spilled_bytes, 2 * first.spilled_bytes);
+        assert_eq!(m.tier().unwrap().len(), 2);
+        assert_eq!(m.tier().unwrap().spilled_bytes(), first.spilled_bytes);
+    }
+
+    #[test]
+    fn a_mismatched_tier_record_is_removed_and_rewritten() {
+        let mut m =
+            KvCacheManager::new(CacheConfig::new(8, 8, 4).with_budget(CacheBudget::bytes(0)))
+                .unwrap();
+        m.set_tier(Some(pade_tier::TierConfig::Memory.build().unwrap()));
+        let p = ids(8, 53);
+        let rows = rows_for(&p, 8);
+        let a = m.attach(1, &p, &rows).unwrap();
+        m.release(a.lease);
+        // Replace the first chunk's record with one for other ids.
+        let key = chunk_key(None, &p[..4]);
+        let original = m.tier().unwrap().get(key).unwrap().unwrap();
+        let other = ids(4, 99);
+        let forged = ChunkRecord {
+            ids: other.clone().into(),
+            planes: Arc::new(BitPlaneMatrix::from_rows(&rows_for(&other, 8), 8, 8).unwrap()),
+            ..original.clone()
+        };
+        m.tier.as_mut().unwrap().put(&forged).unwrap();
+
+        // The mismatch is decomposed instead and leaves the tier; the
+        // second chunk still fetches under the same content address.
+        let b = m.attach(2, &p, &rows).unwrap();
+        assert_eq!((b.decomposed_tokens, b.fetched_tokens), (4, 4));
+        assert_eq!(
+            b.cache.snapshot().materialize(),
+            BitPlaneMatrix::from_rows(&rows, 8, 8).unwrap()
+        );
+        assert!(!m.tier().unwrap().contains(key));
+        m.release(b.lease);
+        assert_eq!(m.tier().unwrap().get(key).unwrap().unwrap(), original);
     }
 
     #[test]

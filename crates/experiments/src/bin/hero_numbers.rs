@@ -87,7 +87,23 @@ fn main() {
         "11740 GOPS/W".into(),
     ]);
     println!("{}", table.render());
-    println!("The ordering (PADE > SOFA > DOTA ≈ Sanger on energy; PADE ahead of");
-    println!("the GPU on both axes) is the reproduced shape; absolute factors");
-    println!("depend on the substituted substrates (see EXPERIMENTS.md).");
+    let measured: Vec<(&str, f64)> =
+        ["Sanger", "DOTA", "SOFA"].iter().map(|&d| (d, geomean(&energy_vs[d]))).collect();
+    let paper = [("Sanger", 5.1), ("DOTA", 4.3), ("SOFA", 3.4)];
+    println!("Energy ordering, most efficient first (saving vs each design):");
+    println!("  measured: {}", energy_ordering(&measured));
+    println!("  paper:    {}", energy_ordering(&paper));
+    println!("Absolute factors depend on the substituted substrates.");
+}
+
+/// `PADE > A (x) > B (y) > …`: designs ordered by PADE's energy saving
+/// over them, smallest saving (the most efficient design) first.
+fn energy_ordering(savings: &[(&str, f64)]) -> String {
+    let mut sorted = savings.to_vec();
+    sorted.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let mut out = String::from("PADE");
+    for (design, saving) in sorted {
+        out.push_str(&format!(" > {design} ({})", times(saving)));
+    }
+    out
 }

@@ -230,7 +230,8 @@ pub struct MetricsSummary {
     pub cache_evictions: u64,
     /// Evicted chunks demoted to the spill tier instead of dropped.
     pub cache_spilled_chunks: u64,
-    /// Plane-word payload bytes written to the spill tier.
+    /// Plane-word payload bytes demoted to the spill tier (a chunk the
+    /// tier already holds counts again but is not rewritten).
     pub cache_spilled_bytes: u64,
     /// Prompt tokens re-adopted from the spill tier (a subset of
     /// [`cache_hit_tokens`](Self::cache_hit_tokens)).

@@ -19,6 +19,9 @@
 //!   [`MemoryTierStore`] (tests, modeled remote peers) and
 //!   [`DiskTierStore`] (one atomic file per chunk in a spill
 //!   directory, re-indexed on open so a restart keeps its tier).
+//!   A record is immutable under its key: the key is a content
+//!   address, so the cache manager writes each held key once and
+//!   removes a record that fails to read back instead of overwriting it.
 //! * [`wire`] — the little-endian wire helpers shared with
 //!   `pade-cache`'s `persist` image, so the spill format and the
 //!   warm-start image cannot drift apart.
@@ -78,8 +81,15 @@ impl ChunkRecord {
 /// `put(record)` returns a record equal to the original (the cache
 /// manager's byte-identity invariant rests on this, and the property
 /// tests pin it).
+///
+/// A record is immutable under its key. Keys are content addresses
+/// (`chunk_key(parent, ids)`), so every record ever put under one key
+/// carries the same planes: callers skip `put` for a key the store
+/// [`contains`](Self::contains), and [`remove`](Self::remove) a record
+/// that fails to read or verify before writing that key again.
 pub trait TierStore: std::fmt::Debug + Send {
-    /// Stores (or replaces) a spilled chunk.
+    /// Stores a spilled chunk. A `put` under a held key replaces the
+    /// record, but callers never need one: the held record is equal.
     ///
     /// # Errors
     ///
@@ -197,6 +207,8 @@ impl TierStore for MemoryTierStore {
 /// On-disk [`TierStore`]: one `chunk_<key>.tier` file per spilled chunk,
 /// written atomically (`.tmp` + rename, the `persist` discipline) and
 /// re-indexed from the directory listing on [`DiskTierStore::open`].
+/// A chunk file is written once per key and then only read or removed
+/// (records are immutable under their key; see [`TierStore`]).
 #[derive(Debug)]
 pub struct DiskTierStore {
     dir: PathBuf,
@@ -207,7 +219,9 @@ pub struct DiskTierStore {
 
 impl DiskTierStore {
     /// Opens (creating if absent) a spill directory and indexes the
-    /// chunk files already in it.
+    /// chunk files already in it. Temp files a `put` interrupted before
+    /// its rename (`chunk_*.tier.tmp`) are deleted, so they cannot pile
+    /// up across restarts.
     ///
     /// # Errors
     ///
@@ -220,6 +234,10 @@ impl DiskTierStore {
         for entry in std::fs::read_dir(dir)? {
             let path = entry?.path();
             let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
+            if name.starts_with("chunk_") && name.ends_with(".tier.tmp") {
+                std::fs::remove_file(&path)?;
+                continue;
+            }
             let Some(hex) = name.strip_prefix("chunk_").and_then(|n| n.strip_suffix(".tier"))
             else {
                 continue;
@@ -421,6 +439,24 @@ mod tests {
         assert_eq!(store.get(b.key).unwrap().unwrap(), b);
         assert!(store.remove(b.key).unwrap());
         assert_eq!(DiskTierStore::open(&dir).unwrap().len(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn disk_store_open_deletes_interrupted_put_temp_files() {
+        let dir = temp_dir("stale_tmp");
+        let a = record(9, 4, 64, 8);
+        DiskTierStore::open(&dir).unwrap().put(&a).unwrap();
+        // A put interrupted between create and rename leaves its temp
+        // file behind; an unrelated file in the directory is not ours.
+        let stale = dir.join("chunk_00000000000000000000000000000002.tier.tmp");
+        std::fs::write(&stale, b"half-written").unwrap();
+        std::fs::write(dir.join("notes.tmp"), b"keep").unwrap();
+        let store = DiskTierStore::open(&dir).unwrap();
+        assert!(!stale.exists(), "open must delete a stale chunk temp file");
+        assert!(dir.join("notes.tmp").exists());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.get(a.key).unwrap().unwrap(), a);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
